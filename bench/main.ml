@@ -1195,6 +1195,17 @@ let fleet_row ~spec jobs =
     r.Fleet.Campaign.fl_steals,
     r.Fleet.Campaign.fl_report )
 
+(* The jobs=2 run always happens (its report feeds [reports_identical]),
+   but a speedup is a measurement only on a host with the cores to run two
+   domains at once: elsewhere it is recorded as null. *)
+let speedup_json ~host_cores ~t1 ~t2 =
+  if host_cores < 2 then "null" else Printf.sprintf "%.2f" (t1 /. t2)
+
+let print_speedup ~host_cores ~t1 ~t2 =
+  if host_cores < 2 then
+    Printf.printf "\nspeedup jobs 1 -> 2: not measured (host has 1 core)\n"
+  else Printf.printf "\nspeedup jobs 1 -> 2: %.2fx  (host has %d cores)\n" (t1 /. t2) host_cores
+
 let fleet_json ~spec ~host_cores ~rows ~identical =
   let oc = open_out "BENCH_fleet.json" in
   let row_json =
@@ -1219,14 +1230,14 @@ let fleet_json ~spec ~host_cores ~rows ~identical =
     \  \"plans\": %d,\n\
     \  \"host_cores\": %d,\n\
     \  \"scaling\": [\n%s\n  ],\n\
-    \  \"speedup_1_to_2\": %.2f,\n\
+    \  \"speedup_1_to_2\": %s,\n\
     \  \"reports_identical\": %b\n\
      }\n"
     spec.Fleet.Campaign.sp_cells
     (List.length spec.Fleet.Campaign.sp_boards)
     (List.length spec.Fleet.Campaign.sp_plans)
     host_cores row_json
-    (t_of 1 /. t_of 2)
+    (speedup_json ~host_cores ~t1:(t_of 1) ~t2:(t_of 2))
     identical;
   close_out oc
 
@@ -1261,8 +1272,7 @@ let fleet_bench () =
   let identical = List.for_all (fun rep -> rep = List.hd reports) reports in
   let _, t1, _, _, _, _, _ = List.nth rows 0 in
   let _, t2, _, _, _, _, _ = List.nth rows 1 in
-  Printf.printf "\nspeedup jobs 1 -> 2: %.2fx  (host has %d core%s)\n" (t1 /. t2) host_cores
-    (if host_cores = 1 then "" else "s");
+  print_speedup ~host_cores ~t1 ~t2;
   Printf.printf "merged reports byte-identical across jobs: %b\n" identical;
   fleet_json ~spec ~host_cores ~rows ~identical;
   print_endline "\nwrote BENCH_fleet.json"
@@ -1329,13 +1339,13 @@ let fabric_json ~spec ~host_cores ~rows ~identical =
     \  \"boards_interleaved\": 3,\n\
     \  \"host_cores\": %d,\n\
     \  \"scaling\": [\n%s\n  ],\n\
-    \  \"speedup_1_to_2\": %.2f,\n\
+    \  \"speedup_1_to_2\": %s,\n\
     \  \"silent_corruptions\": %d,\n\
     \  \"reports_identical\": %b\n\
      }\n"
     (List.length spec.Fabric.Campaign.fb_plans)
     spec.Fabric.Campaign.fb_cuts host_cores row_json
-    (t_of 1 /. t_of 2)
+    (speedup_json ~host_cores ~t1:(t_of 1) ~t2:(t_of 2))
     silent_total identical;
   close_out oc
 
@@ -1368,8 +1378,7 @@ let fabric_bench () =
   let identical = List.for_all (fun rep -> rep = List.hd reports) reports in
   let _, t1, _, _, _, _, _, _ = List.nth rows 0 in
   let _, t2, _, _, _, _, _, _ = List.nth rows 1 in
-  Printf.printf "\nspeedup jobs 1 -> 2: %.2fx  (host has %d core%s)\n" (t1 /. t2) host_cores
-    (if host_cores = 1 then "" else "s");
+  print_speedup ~host_cores ~t1 ~t2;
   Printf.printf "reports byte-identical across jobs: %b\n" identical;
   fabric_json ~spec ~host_cores ~rows ~identical;
   print_endline "\nwrote BENCH_fabric.json"

@@ -21,10 +21,11 @@
     bumps the code generation and thereby invalidates both the bus's
     access-decision cache lines and the CPU's decoded-instruction cache for
     that page. MPU corruption goes through each model's register-write
-    front door ([write_region] / [set_entry]), which bumps the generation
-    counter exactly like a real reconfiguration — cached access decisions
-    are dropped, and malformed values the hardware would reject raise and
-    are recorded as rejected (masked at the injection site). *)
+    front door ([write_region] / [set_entry]) exactly like a real
+    reconfiguration — a changed register moves the model's configuration
+    id, so access decisions cached under the old contents stop validating,
+    and malformed values the hardware would reject raise and are recorded
+    as rejected (masked at the injection site). *)
 
 open Ticktock
 

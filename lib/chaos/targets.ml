@@ -10,10 +10,10 @@
     fault-injection levers of the board's capsules.
 
     The corruptors flip one bit of one live register {e through the
-    hardware model's write path}, so the generation counter bumps exactly
-    as on reconfiguration (invalidating cached access decisions) and
-    malformed encodings are rejected the way real register files reject
-    reserved values — a rejected write is a masked fault. *)
+    hardware model's write path}, so the configuration id moves exactly as
+    on reconfiguration (access decisions cached under the old contents stop
+    validating) and malformed encodings are rejected the way real register
+    files reject reserved values — a rejected write is a masked fault. *)
 
 open Ticktock
 
@@ -66,8 +66,8 @@ type board = {
    scrubber's repair path and the board snapshot subsystem use): read the
    live word list, flip one random bit of one random word, write the list
    back. [mpu_restore] is diff-only through the model's register-write
-   front door, so exactly one register write happens, the generation
-   counter bumps as on a real reconfiguration, and a value the hardware
+   front door, so exactly one register write happens, the configuration
+   id moves as on a real reconfiguration, and a value the hardware
    would reject (reserved encodings, locked PMP entries) raises — a masked
    fault, reported as [Error]. The per-architecture corruptors this
    replaces each hand-picked field offsets; the word-level flip covers the

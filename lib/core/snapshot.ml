@@ -10,8 +10,9 @@
     (which flushes the bus decision cache, bumps the code generation so no
     stale decoded block or micro-TLB entry survives, and emits a
     [Buscache_flush] observability event), then the component thunks run in
-    list order, so the kernel component — which rewrites the observability
-    recorder ring — runs last and erases that flush event from the record.
+    list order — the MPU's configuration id follows its restored registers
+    — so the kernel component, which rewrites the observability recorder
+    ring, runs last and erases that flush event from the record.
     A forked run is therefore byte-for-byte identical to a booted run: same
     console, same trace, same obs event stream, same cycle counter.
 
@@ -101,8 +102,9 @@ let restore target t =
   check_identity ~what:"restore" target ~arch:t.sn_arch ~board:t.sn_board;
   (* Memory first: flushes the decision cache and bumps the code
      generation, so nothing cached against pre-restore bytes survives.
-     Then the components in capture order — the kernel last, restoring the
-     obs recorder ring over the memory-restore flush event. *)
+     Then the components in capture order — the MPU's configuration id
+     follows its restored registers, and the kernel runs last, restoring
+     the obs recorder ring over the memory-restore flush event. *)
   Memory.restore target.tg_mem t.sn_mem;
   List.iter (fun (_, thunk) -> thunk ()) t.sn_restores
 

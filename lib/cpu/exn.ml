@@ -12,9 +12,11 @@ let frame_words = 8
 
 type isr = Cpu.t -> Word32.t
 
+(* Contract failure messages are built only on failure: entry and return
+   run on every context switch. *)
 let entry cpu ~exc_num =
-  Verify.Violation.requiref "exn.entry: exception number" (exc_num >= 2 && exc_num <= 255)
-    "exc_num=%d" exc_num;
+  if exc_num < 2 || exc_num > 255 then
+    Verify.Violation.requiref "exn.entry: exception number" false "exc_num=%d" exc_num;
   Verify.Violation.require "exn.entry: no nesting" (Cpu.mode cpu = Cpu.Thread);
   Cycles.tick ~n:Cycles.exception_entry Cycles.global;
   let exc_return =
@@ -47,8 +49,9 @@ let entry cpu ~exc_num =
 
 let return cpu exc_return =
   Verify.Violation.require "exn.return: handler mode" (Cpu.mode cpu = Cpu.Handler);
-  Verify.Violation.requiref "exn.return: valid EXC_RETURN" (is_exc_return exc_return) "lr=%s"
-    (Word32.to_hex exc_return);
+  if not (is_exc_return exc_return) then
+    Verify.Violation.requiref "exn.return: valid EXC_RETURN" false "lr=%s"
+      (Word32.to_hex exc_return);
   Cycles.tick ~n:Cycles.exception_entry Cycles.global;
   let mem = Cpu.memory cpu in
   let use_psp = exc_return = exc_return_thread_psp in
@@ -79,6 +82,7 @@ let return cpu exc_return =
 let preempt cpu ~exc_num ~isr =
   entry cpu ~exc_num;
   let exc_return = isr cpu in
-  Verify.Violation.ensuref "preempt: isr yields control to kernel"
-    (exc_return = exc_return_thread_msp) "lr=%s" (Word32.to_hex exc_return);
+  if exc_return <> exc_return_thread_msp then
+    Verify.Violation.ensuref "preempt: isr yields control to kernel" false "lr=%s"
+      (Word32.to_hex exc_return);
   return cpu exc_return

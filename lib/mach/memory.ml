@@ -18,10 +18,15 @@ type checker = {
 
 (* Direct-mapped MPU decision cache. Each entry remembers one *allow*
    decision for a (granule-block, privilege, access-kind) key together with
-   the checker generation it was taken under; a register write bumps the
-   generation and thereby invalidates every entry at once. Deny decisions
-   are never cached: the slow path owns the fault message and the
-   fault-status side effects (SCB latching). *)
+   the checker generation it was taken under. The MPU models report a
+   configuration id as their generation — the same register contents give
+   the same id — so an entry is valid exactly while the configuration it
+   was taken under is live, and validates again when a context switch
+   brings that configuration back. The generation is mixed into the slot
+   index, so the configurations of one board's processes spread over the
+   slots instead of evicting each other's entries. Deny decisions are never
+   cached: the slow path owns the fault message and the fault-status side
+   effects (SCB latching). *)
 let dc_bits = 10
 let dc_size = 1 lsl dc_bits
 
@@ -286,13 +291,19 @@ let access_code = function Perms.Read -> 0 | Perms.Write -> 1 | Perms.Execute ->
 
 (* The key carries the full identity of a decision: granule block,
    privilege level, access kind. The index spreads R/W/X of one block over
-   distinct entries so an execute-heavy loop does not evict its data. *)
+   distinct entries so an execute-heavy loop does not evict its data, and
+   offsets the block by an odd multiple of the generation, so up to
+   [dc_size / 4] consecutive generations place one block in distinct
+   slots. *)
+let dc_index block code gen = (((block + (gen * 0x9E5)) lsl 2) lor code) land (dc_size - 1)
+
 let dc_probe t c addr access =
   let block = addr lsr c.granule_bits () in
   let code = access_code access in
   let key = (block lsl 3) lor (c.privilege () lsl 2) lor code in
-  let idx = ((block lsl 2) lor code) land (dc_size - 1) in
-  if t.dc_key.(idx) = key && t.dc_gen.(idx) = c.generation () then begin
+  let gen = c.generation () in
+  let idx = dc_index block code gen in
+  if t.dc_key.(idx) = key && t.dc_gen.(idx) = gen then begin
     t.dc_hits <- t.dc_hits + 1;
     true
   end
@@ -305,9 +316,10 @@ let dc_insert t c addr access =
   let block = addr lsr c.granule_bits () in
   let code = access_code access in
   let key = (block lsl 3) lor (c.privilege () lsl 2) lor code in
-  let idx = ((block lsl 2) lor code) land (dc_size - 1) in
+  let gen = c.generation () in
+  let idx = dc_index block code gen in
   t.dc_key.(idx) <- key;
-  t.dc_gen.(idx) <- c.generation ()
+  t.dc_gen.(idx) <- gen
 
 let check t addr access =
   match t.checker with
@@ -431,7 +443,7 @@ let load32_fast t addr =
   if t.fp_on && addr land 3 = 0 then begin
     let block = addr lsr t.fp_gbits in
     let key = (block lsl 3) lor (t.fp_priv lsl 2) (* access_code Read = 0 *) in
-    let idx = (block lsl 2) land (dc_size - 1) in
+    let idx = dc_index block 0 t.fp_gen in
     if Array.unsafe_get t.dc_key idx = key && Array.unsafe_get t.dc_gen idx = t.fp_gen
     then begin
       t.dc_hits <- t.dc_hits + 1;
@@ -445,7 +457,7 @@ let store32_fast t addr v =
   if t.fp_on && addr land 3 = 0 then begin
     let block = addr lsr t.fp_gbits in
     let key = (block lsl 3) lor (t.fp_priv lsl 2) lor 1 (* access_code Write *) in
-    let idx = ((block lsl 2) lor 1) land (dc_size - 1) in
+    let idx = dc_index block 1 t.fp_gen in
     if Array.unsafe_get t.dc_key idx = key && Array.unsafe_get t.dc_gen idx = t.fp_gen
     then begin
       t.dc_hits <- t.dc_hits + 1;

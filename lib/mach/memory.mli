@@ -16,8 +16,8 @@
       last-page cache) and a single 32-bit byte-string read/write;
     - access decisions are cached in a direct-mapped {e micro-TLB} keyed by
       (granule block, privilege, access kind) and guarded by the checker's
-      generation counter, which MPU models bump on every configuration
-      register write. Only {e allow} decisions are cached, so denials always
+      generation, which MPU models report as an id of their register
+      contents. Only {e allow} decisions are cached, so denials always
       reach the full checker (fault messages, fault-status latching). *)
 
 type t
@@ -36,9 +36,12 @@ type checker = {
   check : Word32.t -> Perms.access -> (unit, string) result;
       (** The authoritative decision function (the full MPU/PMP walk). *)
   generation : unit -> int;
-      (** Current configuration generation. Any change invalidates every
-          cached decision; MPU models bump it on RBAR/RASR/RLAR/CTRL/pmpcfg
-          writes. *)
+      (** Current configuration generation. A cached decision is valid
+          only while the generation it was taken under is current. MPU
+          models report a configuration id: the same register contents
+          always give the same id, different contents different ids, so
+          decisions cached under a configuration survive a switch away and
+          back. The generation is also mixed into the cache slot index. *)
   privilege : unit -> int;
       (** Current privilege level as a small integer (0/1). Part of the
           cache key, so a privilege transition (handler entry/exit,
@@ -51,8 +54,8 @@ type checker = {
           PMP (NA4), but coarser when the configured region boundaries are
           more aligned than the architectural minimum. A cached decision
           for one byte of an aligned granule block is valid for the whole
-          block. A granule change always comes with a generation bump, so
-          entries keyed under the old granule can never false-hit. *)
+          block. A granule change always comes with a generation change,
+          so entries keyed under another granule can never false-hit. *)
 }
 
 val create : unit -> t

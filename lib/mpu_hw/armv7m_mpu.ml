@@ -7,8 +7,8 @@ let min_subregion_region_size = 256
    bytes. This is the granularity hint handed to the bus decision cache. *)
 let granule_bits = 5
 
-(* Per-region decode of the RBAR/RASR pair, refreshed on every register
-   write so the per-access check never re-extracts bit fields. *)
+(* Per-region decode of the RBAR/RASR pair, derived once per configuration
+   so the per-access check never re-extracts bit fields. *)
 type decoded = {
   d_enabled : bool;
   d_base : Word32.t;
@@ -25,16 +25,21 @@ let decoded_disabled =
 type t = {
   rbar : Word32.t array;
   rasr : Word32.t array;
-  dec : decoded array;
   mutable ctrl_enable : bool;
-  mutable generation : int;
-  (* model-visible configuration sequence: counts effective configuration
-     changes and is what trace events carry. Unlike [generation] — the bus
-     decision-cache key, which only ever moves forward, including across a
-     snapshot restore — this is captured and restored with the registers,
-     so forked reruns emit identical traces. *)
-  mutable cfg_seq : int;
+  (* Everything below [dirty] is derived from the registers. A write that
+     changes a register only sets [dirty]; the first check or cache query
+     after it re-derives the decode, the decision granule and the
+     configuration id (the bus decision-cache generation) in one go. *)
+  mutable dirty : bool;
+  mutable dec : decoded array;  (* shared with [ids]: never mutated *)
   mutable dgran : int;  (* decision granularity of the active config *)
+  mutable generation : int;
+  ids : (decoded array * int) Config_ids.t;
+  (* model-visible configuration sequence: counts effective configuration
+     changes and is what trace events carry. Unlike [generation], which is
+     host-side cache state, this is captured and restored with the
+     registers, so forked reruns emit identical traces. *)
+  mutable cfg_seq : int;
   mutable obs : Obs.Event.sink option;
 }
 
@@ -120,11 +125,13 @@ let create () =
   {
     rbar = Array.make region_count 0;
     rasr = Array.make region_count 0;
-    dec = Array.make region_count decoded_disabled;
     ctrl_enable = false;
-    generation = 0;
-    cfg_seq = 0;
+    dirty = true;
+    dec = Array.make region_count decoded_disabled;
     dgran = max_granule_bits;
+    generation = 0;
+    ids = Config_ids.create ~words:((2 * region_count) + 1);
+    cfg_seq = 0;
     obs = None;
   }
 
@@ -132,24 +139,44 @@ let set_obs t sink = t.obs <- sink
 
 (* --- register file --- *)
 
-let generation t = t.generation
-let decision_granule_bits t = t.dgran
+let sync t =
+  let key = Config_ids.key t.ids in
+  Array.blit t.rbar 0 key 0 region_count;
+  Array.blit t.rasr 0 key region_count region_count;
+  key.(2 * region_count) <- Bool.to_int t.ctrl_enable;
+  let id, (dec, dgran) =
+    Config_ids.intern t.ids (fun () ->
+        let dec =
+          Array.init region_count (fun i -> decode_pair ~rbar:t.rbar.(i) ~rasr:t.rasr.(i))
+        in
+        (dec, decision_granule_bits_of dec))
+  in
+  t.dec <- dec;
+  t.dgran <- dgran;
+  t.generation <- id;
+  t.dirty <- false
 
-(* [changed] gates the trace event only: redundant rewrites of the same
-   register values (every context switch re-pushes the full config) would
-   flood the mpu lane without changing the configuration. Generation still
-   bumps unconditionally — the bus decision cache keys on it. *)
-let refresh t index ~changed =
-  t.dec.(index) <- decode_pair ~rbar:t.rbar.(index) ~rasr:t.rasr.(index);
-  t.dgran <- decision_granule_bits_of t.dec;
-  t.generation <- t.generation + 1;
-  if changed then begin
-    t.cfg_seq <- t.cfg_seq + 1;
-    match t.obs with
-    | None -> ()
-    | Some emit ->
-        emit (Obs.Event.Mpu_region_write { arch = "armv7m"; index; generation = t.cfg_seq })
-  end
+let generation t =
+  if t.dirty then sync t;
+  t.generation
+
+let decision_granule_bits t =
+  if t.dirty then sync t;
+  t.dgran
+
+(* A register write that changes nothing — every context switch re-pushes
+   the full config — neither dirties the derived state nor emits: the
+   configuration, and so its id, is the same. *)
+let note_change t =
+  t.dirty <- true;
+  t.cfg_seq <- t.cfg_seq + 1
+
+let note_region_write t index =
+  note_change t;
+  match t.obs with
+  | None -> ()
+  | Some emit ->
+      emit (Obs.Event.Mpu_region_write { arch = "armv7m"; index; generation = t.cfg_seq })
 
 let validate ~rbar ~rasr =
   if decode_rasr_enable rasr then begin
@@ -166,27 +193,27 @@ let write_region t ~index ~rbar ~rasr =
   if index < 0 || index >= region_count then invalid_arg "write_region: index";
   validate ~rbar ~rasr;
   Mach.Cycles.tick ~n:(2 * Mach.Cycles.mpu_reg_write) Mach.Cycles.global;
-  let changed = t.rbar.(index) <> rbar || t.rasr.(index) <> rasr in
-  t.rbar.(index) <- rbar;
-  t.rasr.(index) <- rasr;
-  refresh t index ~changed
+  if t.rbar.(index) <> rbar || t.rasr.(index) <> rasr then begin
+    t.rbar.(index) <- rbar;
+    t.rasr.(index) <- rasr;
+    note_region_write t index
+  end
 
 let clear_region t ~index =
   if index < 0 || index >= region_count then invalid_arg "clear_region: index";
   Mach.Cycles.tick ~n:Mach.Cycles.mpu_reg_write Mach.Cycles.global;
-  let changed = Word32.bit t.rasr.(index) 0 in
-  t.rasr.(index) <- Word32.set_bit t.rasr.(index) 0 false;
-  refresh t index ~changed
+  if Word32.bit t.rasr.(index) 0 then begin
+    t.rasr.(index) <- Word32.set_bit t.rasr.(index) 0 false;
+    note_region_write t index
+  end
 
 let read_region t ~index = (t.rbar.(index), t.rasr.(index))
 
 let set_enabled t v =
   Mach.Cycles.tick ~n:Mach.Cycles.mpu_reg_write Mach.Cycles.global;
-  let changed = t.ctrl_enable <> v in
-  t.ctrl_enable <- v;
-  t.generation <- t.generation + 1;
-  if changed then begin
-    t.cfg_seq <- t.cfg_seq + 1;
+  if t.ctrl_enable <> v then begin
+    t.ctrl_enable <- v;
+    note_change t;
     match t.obs with
     | None -> ()
     | Some emit ->
@@ -228,6 +255,7 @@ let perm_allows_dec ~privileged d access =
 let check_access t ~privileged a access =
   if not t.ctrl_enable then Ok ()
   else begin
+    if t.dirty then sync t;
     (* Highest-numbered matching region takes priority (PMSAv7). *)
     let rec find i = if i < 0 then None else if region_matches t i a then Some i else find (i - 1) in
     match find (region_count - 1) with
@@ -282,9 +310,9 @@ let checker t ~cpu_privileged =
   {
     Memory.check =
       (fun a access -> check_access t ~privileged:(cpu_privileged ()) a access);
-    generation = (fun () -> t.generation);
+    generation = (fun () -> generation t);
     privilege = (fun () -> if cpu_privileged () then 1 else 0);
-    granule_bits = (fun () -> t.dgran);
+    granule_bits = (fun () -> decision_granule_bits t);
   }
 
 (* --- whole-state capture (snapshot subsystem) --- *)
@@ -304,19 +332,14 @@ let capture_state t =
     s_seq = t.cfg_seq;
   }
 
-(* A host-side restore, not a modeled register write: no cycle charge, no
-   trace events, but the generation must advance so cached bus decisions
-   taken under the outgoing configuration never validate. *)
+(* A host-side restore, not a modeled register write: no cycle charge and
+   no trace events. The derived state follows the restored contents. *)
 let restore_state t s =
   Array.blit s.s_rbar 0 t.rbar 0 region_count;
   Array.blit s.s_rasr 0 t.rasr 0 region_count;
   t.ctrl_enable <- s.s_enable;
   t.cfg_seq <- s.s_seq;
-  for i = 0 to region_count - 1 do
-    t.dec.(i) <- decode_pair ~rbar:t.rbar.(i) ~rasr:t.rasr.(i)
-  done;
-  t.dgran <- decision_granule_bits_of t.dec;
-  t.generation <- t.generation + 1
+  t.dirty <- true
 
 let fingerprint t =
   let h = Array.fold_left Mach.Fp.int Mach.Fp.seed t.rbar in

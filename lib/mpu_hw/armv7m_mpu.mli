@@ -37,8 +37,8 @@ val granule_bits : int
 val decision_granule_bits : t -> int
 (** The granularity of the {e active} configuration — the minimum
     region/subregion step of the enabled regions (>= {!granule_bits},
-    capped at 4 KiB). Handed to the bus decision cache and kept current on
-    every register write. *)
+    capped at 4 KiB). Handed to the bus decision cache; derived, with the
+    configuration id, on the first query after a register change. *)
 
 val create : unit -> t
 
@@ -74,9 +74,10 @@ val decode_rasr_perms : Word32.t -> Perms.t option
 val write_region : t -> index:int -> rbar:Word32.t -> rasr:Word32.t -> unit
 (** Program one region's register pair. Charges
     2 × {!Mach.Cycles.mpu_reg_write} to the global counter, like two MMIO
-    stores on hardware. Raises [Invalid_argument] on a malformed pair
-    (unaligned base, SRD on a small region) — hardware behaviour is
-    UNPREDICTABLE there, so the model refuses. *)
+    stores on hardware, whether or not the values change. Raises
+    [Invalid_argument] on a malformed pair (unaligned base, SRD on a small
+    region) — hardware behaviour is UNPREDICTABLE there, so the model
+    refuses. *)
 
 val clear_region : t -> index:int -> unit
 (** Disable a region (RASR.ENABLE := 0). *)
@@ -89,13 +90,16 @@ val set_enabled : t -> bool -> unit
 val enabled : t -> bool
 
 val generation : t -> int
-(** Configuration generation: bumped by every {!write_region},
-    {!clear_region} and {!set_enabled}, so cached access decisions can be
-    invalidated wholesale the moment the register file changes. *)
+(** Configuration id, the bus decision-cache generation: interned from the
+    exact RBAR/RASR contents and CTRL.ENABLE (see {!Config_ids}). The same
+    contents give the same id, so decisions cached under a configuration
+    validate again when a context switch brings it back; any changed word
+    gives a new id. *)
 
 val set_obs : t -> Obs.Event.sink option -> unit
-(** Attach an observability sink; every register write that bumps the
-    generation also emits one reconfiguration event. [None] detaches. *)
+(** Attach an observability sink; every register write that changes a
+    register emits one reconfiguration event (identical rewrites emit
+    nothing). [None] detaches. *)
 
 (** {1 Access semantics} *)
 
@@ -111,7 +115,7 @@ val accessible_ranges : t -> Perms.access -> Range.t list
 
 val checker : t -> cpu_privileged:(unit -> bool) -> Memory.checker
 (** Adapter for {!Mach.Memory.set_checker}: consults the live CPU privilege
-    state on each access, and exposes the generation counter and 32-byte
+    state on each access, and exposes the configuration id and decision
     granularity so the bus may cache allow decisions. *)
 
 val pp : Format.formatter -> t -> unit
@@ -125,4 +129,4 @@ val restore_state : t -> state -> unit
 
 val fingerprint : t -> int64
 (** FNV-1a over the architecturally visible state (never host-side caches
-    or generation counters). *)
+    or configuration ids). *)

@@ -9,12 +9,16 @@ type t = {
   rbar : Word32.t array;
   rlar : Word32.t array;
   mutable ctrl_enable : bool;
-  mutable generation : int;
-  (* model-visible configuration sequence carried by trace events; unlike
-     [generation] (the decision-cache key, forward-only across restores)
-     it is captured and restored with the registers — see Armv7m_mpu. *)
-  mutable cfg_seq : int;
+  (* [dgran] and [generation] are derived from the registers on the first
+     cache query after a change, as in Armv7m_mpu. *)
+  mutable dirty : bool;
   mutable dgran : int;  (* decision granularity of the active config *)
+  mutable generation : int;
+  ids : int Config_ids.t;
+  (* model-visible configuration sequence carried by trace events; unlike
+     [generation] (host-side cache state) it is captured and restored with
+     the registers — see Armv7m_mpu. *)
+  mutable cfg_seq : int;
   mutable obs : Obs.Event.sink option;
 }
 
@@ -25,25 +29,29 @@ let create () =
     rbar = Array.make region_count 0;
     rlar = Array.make region_count 0;
     ctrl_enable = false;
-    generation = 0;
-    cfg_seq = 0;
+    dirty = true;
     dgran = max_granule_bits;
+    generation = 0;
+    ids = Config_ids.create ~words:((2 * region_count) + 1);
+    cfg_seq = 0;
     obs = None;
   }
 
 let set_obs t sink = t.obs <- sink
 
-(* [changed] gates the trace event only: every context switch re-pushes
-   the full config, and redundant rewrites would flood the mpu lane.
-   Generation still bumps unconditionally for the bus decision cache. *)
-let emit_region_write t index ~changed =
-  if changed then begin
-    t.cfg_seq <- t.cfg_seq + 1;
-    match t.obs with
-    | None -> ()
-    | Some emit ->
-        emit (Obs.Event.Mpu_region_write { arch = "armv8m"; index; generation = t.cfg_seq })
-  end
+(* Only a write that changes a register dirties the derived state and
+   emits: every context switch re-pushes the full config, and identical
+   rewrites keep the configuration — and its id — as they are. *)
+let note_change t =
+  t.dirty <- true;
+  t.cfg_seq <- t.cfg_seq + 1
+
+let note_region_write t index =
+  note_change t;
+  match t.obs with
+  | None -> ()
+  | Some emit ->
+      emit (Obs.Event.Mpu_region_write { arch = "armv8m"; index; generation = t.cfg_seq })
 
 (* AP[2:1] (v8 encoding): 00 priv RW only; 01 RW any; 10 priv RO only;
    11 RO any.  XN is bit 0. *)
@@ -80,7 +88,7 @@ let decode_rlar_enable rlar = Word32.bit rlar 0
 (* Boundaries of enabled regions are base and limit+1, both 32-byte
    aligned at minimum; decisions are constant between boundaries, so the
    cache granule is the minimum boundary alignment (capped at 4 KiB). *)
-let refresh_granule t =
+let granule_of t =
   let g = ref max_granule_bits in
   for i = 0 to region_count - 1 do
     if decode_rlar_enable t.rlar.(i) then begin
@@ -92,7 +100,17 @@ let refresh_granule t =
       note (decode_rlar_limit t.rlar.(i) + 1)
     end
   done;
-  t.dgran <- max granule_bits (min max_granule_bits !g)
+  max granule_bits (min max_granule_bits !g)
+
+let sync t =
+  let key = Config_ids.key t.ids in
+  Array.blit t.rbar 0 key 0 region_count;
+  Array.blit t.rlar 0 key region_count region_count;
+  key.(2 * region_count) <- Bool.to_int t.ctrl_enable;
+  let id, dgran = Config_ids.intern t.ids (fun () -> granule_of t) in
+  t.dgran <- dgran;
+  t.generation <- id;
+  t.dirty <- false
 
 let write_region t ~index ~rbar ~rasr =
   if index < 0 || index >= region_count then invalid_arg "write_region: index";
@@ -100,31 +118,27 @@ let write_region t ~index ~rbar ~rasr =
   if decode_rlar_enable rlar && decode_rlar_limit rlar < decode_rbar_base rbar then
     invalid_arg "mpu v8: limit below base";
   Cycles.tick ~n:(2 * Cycles.mpu_reg_write) Cycles.global;
-  let changed = t.rbar.(index) <> rbar || t.rlar.(index) <> rlar in
-  t.rbar.(index) <- rbar;
-  t.rlar.(index) <- rlar;
-  refresh_granule t;
-  t.generation <- t.generation + 1;
-  emit_region_write t index ~changed
+  if t.rbar.(index) <> rbar || t.rlar.(index) <> rlar then begin
+    t.rbar.(index) <- rbar;
+    t.rlar.(index) <- rlar;
+    note_region_write t index
+  end
 
 let clear_region t ~index =
   if index < 0 || index >= region_count then invalid_arg "clear_region: index";
   Cycles.tick ~n:Cycles.mpu_reg_write Cycles.global;
-  let changed = Word32.bit t.rlar.(index) 0 in
-  t.rlar.(index) <- Word32.set_bit t.rlar.(index) 0 false;
-  refresh_granule t;
-  t.generation <- t.generation + 1;
-  emit_region_write t index ~changed
+  if Word32.bit t.rlar.(index) 0 then begin
+    t.rlar.(index) <- Word32.set_bit t.rlar.(index) 0 false;
+    note_region_write t index
+  end
 
 let read_region t ~index = (t.rbar.(index), t.rlar.(index))
 
 let set_enabled t v =
   Cycles.tick ~n:Cycles.mpu_reg_write Cycles.global;
-  let changed = t.ctrl_enable <> v in
-  t.ctrl_enable <- v;
-  t.generation <- t.generation + 1;
-  if changed then begin
-    t.cfg_seq <- t.cfg_seq + 1;
+  if t.ctrl_enable <> v then begin
+    t.ctrl_enable <- v;
+    note_change t;
     match t.obs with
     | None -> ()
     | Some emit ->
@@ -132,8 +146,14 @@ let set_enabled t v =
   end
 
 let enabled t = t.ctrl_enable
-let generation t = t.generation
-let decision_granule_bits t = t.dgran
+
+let generation t =
+  if t.dirty then sync t;
+  t.generation
+
+let decision_granule_bits t =
+  if t.dirty then sync t;
+  t.dgran
 
 let region_matches t i a =
   decode_rlar_enable t.rlar.(i)
@@ -216,9 +236,9 @@ let checker t ~cpu_privileged =
   {
     Memory.check =
       (fun a access -> check_access t ~privileged:(cpu_privileged ()) a access);
-    generation = (fun () -> t.generation);
+    generation = (fun () -> generation t);
     privilege = (fun () -> if cpu_privileged () then 1 else 0);
-    granule_bits = (fun () -> t.dgran);
+    granule_bits = (fun () -> decision_granule_bits t);
   }
 
 (* --- whole-state capture (snapshot subsystem) --- *)
@@ -243,8 +263,7 @@ let restore_state t s =
   Array.blit s.s_rlar 0 t.rlar 0 region_count;
   t.ctrl_enable <- s.s_enable;
   t.cfg_seq <- s.s_seq;
-  refresh_granule t;
-  t.generation <- t.generation + 1
+  t.dirty <- true
 
 let fingerprint t =
   let h = Array.fold_left Fp.int Fp.seed t.rbar in

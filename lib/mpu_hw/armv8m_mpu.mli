@@ -28,7 +28,8 @@ val granule_bits : int
 val decision_granule_bits : t -> int
 (** Granularity of the {e active} configuration — minimum alignment of the
     enabled regions' boundaries (>= {!granule_bits}, capped at 4 KiB).
-    Handed to the bus decision cache; kept current on register writes. *)
+    Handed to the bus decision cache; derived, with the configuration id,
+    on the first query after a register change. *)
 
 val create : unit -> t
 
@@ -63,12 +64,13 @@ val set_enabled : t -> bool -> unit
 val enabled : t -> bool
 
 val generation : t -> int
-(** Configuration generation: bumped by every register write, so the bus
-    decision cache can invalidate stale allow decisions wholesale. *)
+(** Configuration id, the bus decision-cache generation: interned from the
+    exact RBAR/RLAR contents and CTRL.ENABLE (see {!Config_ids}); the same
+    contents give the same id, any changed word a new one. *)
 
 val set_obs : t -> Obs.Event.sink option -> unit
-(** Attach an observability sink; every register write that bumps the
-    generation also emits one reconfiguration event. [None] detaches. *)
+(** Attach an observability sink; every register write that changes a
+    register emits one reconfiguration event. [None] detaches. *)
 
 (** {1 Access semantics} *)
 
@@ -81,8 +83,8 @@ val accessible_ranges : t -> Perms.access -> Range.t list
 
 val checker : t -> cpu_privileged:(unit -> bool) -> Memory.checker
 (** Adapter for {!Mach.Memory.set_checker}: consults the live CPU privilege
-    state per access and exposes generation + 32-byte granularity for the
-    bus decision cache. *)
+    state per access and exposes the configuration id and decision
+    granularity for the bus decision cache. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -95,4 +97,4 @@ val restore_state : t -> state -> unit
 
 val fingerprint : t -> int64
 (** FNV-1a over the architecturally visible state (never host-side caches
-    or generation counters). *)
+    or configuration ids). *)

@@ -41,15 +41,19 @@ type t = {
   chip : chip;
   cfg : int array;
   addr : Word32.t array;
-  ranges : Range.t option array;  (* memoized per-entry decode *)
   mutable mmwp : bool;
   mutable mml : bool;
-  mutable generation : int;
-  (* model-visible configuration sequence carried by trace events; unlike
-     [generation] (the decision-cache key, forward-only across restores)
-     it is captured and restored with the registers — see Armv7m_mpu. *)
-  mutable cfg_seq : int;
+  (* Everything below [dirty] is derived from the CSRs on the first check
+     or cache query after a change, as in Armv7m_mpu. *)
+  mutable dirty : bool;
+  mutable ranges : Range.t option array;  (* per-entry decode; shared with [ids] *)
   mutable dgran : int;  (* decision granularity of the active config *)
+  mutable generation : int;
+  ids : (Range.t option array * int) Config_ids.t;
+  (* model-visible configuration sequence carried by trace events; unlike
+     [generation] (host-side cache state) it is captured and restored with
+     the registers — see Armv7m_mpu. *)
+  mutable cfg_seq : int;
   mutable obs : Obs.Event.sink option;
 }
 
@@ -60,37 +64,39 @@ let create chip =
     chip;
     cfg = Array.make chip.entry_count 0;
     addr = Array.make chip.entry_count 0;
-    ranges = Array.make chip.entry_count None;
     mmwp = false;
     mml = false;
-    generation = 0;
-    cfg_seq = 0;
+    dirty = true;
+    ranges = Array.make chip.entry_count None;
     dgran = max_granule_bits;
+    generation = 0;
+    ids = Config_ids.create ~words:((2 * chip.entry_count) + 2);
+    cfg_seq = 0;
     obs = None;
   }
 
 let set_obs t sink = t.obs <- sink
 
-(* [changed] gates the trace event only: every context switch re-pushes
-   the full config, and redundant rewrites would flood the mpu lane.
-   Generation still bumps unconditionally for the bus decision cache. *)
-let emit_entry_write t index ~changed =
-  if changed then begin
-    t.cfg_seq <- t.cfg_seq + 1;
-    match t.obs with
-    | None -> ()
-    | Some emit ->
-        emit (Obs.Event.Mpu_region_write { arch = "rv32-pmp"; index; generation = t.cfg_seq })
-  end
+(* Only a write that changes a CSR dirties the derived state and emits:
+   every context switch re-pushes the full config, and identical rewrites
+   keep the configuration — and its id — as they are. *)
+let note_change t =
+  t.dirty <- true;
+  t.cfg_seq <- t.cfg_seq + 1
+
+let note_entry_write t index =
+  note_change t;
+  match t.obs with
+  | None -> ()
+  | Some emit ->
+      emit (Obs.Event.Mpu_region_write { arch = "rv32-pmp"; index; generation = t.cfg_seq })
 
 let chip t = t.chip
-let generation t = t.generation
 
 (* PMP decisions can change at NA4 granularity (and TOR bounds are
    pmpaddr << 2, i.e. 4-byte aligned), so 4 bytes is the finest block the
    decision cache may ever treat as uniform. *)
 let granule_bits t = Math32.log2 t.chip.granularity
-let decision_granule_bits t = t.dgran
 
 let decode_entry_range t i =
   match decode_cfg_mode t.cfg.(i) with
@@ -109,56 +115,74 @@ let decode_entry_range t i =
     let base = (a land lnot ((1 lsl (ones + 1)) - 1)) lsl 2 land Word32.mask in
     Some (Range.make_checked ~start:base ~size |> Option.value ~default:Range.empty)
 
-(* A pmpaddr write moves the bound of the *next* TOR entry too, so refresh
-   the whole (small) table on any register write. Decisions are constant
-   between entry boundaries, so the cache granule is the minimum boundary
-   alignment of the active entries (capped at 4 KiB). *)
-let refresh t =
+(* A pmpaddr write moves the bound of the *next* TOR entry too, so the
+   whole (small) table is decoded together. Decisions are constant between
+   entry boundaries, so the cache granule is the minimum boundary alignment
+   of the active entries (capped at 4 KiB). *)
+let derive t =
+  let ranges = Array.init t.chip.entry_count (decode_entry_range t) in
   let g = ref max_granule_bits in
-  for i = 0 to t.chip.entry_count - 1 do
-    t.ranges.(i) <- decode_entry_range t i;
-    match t.ranges.(i) with
-    | Some r when not (Range.is_empty r) ->
-      let note a =
-        let b = Math32.trailing_zero_bits a in
-        if b < !g then g := b
-      in
-      note (Range.start r);
-      note (Range.end_ r)
-    | Some _ | None -> ()
-  done;
-  t.dgran <- max (Math32.log2 t.chip.granularity) (min max_granule_bits !g);
-  t.generation <- t.generation + 1
+  Array.iter
+    (function
+      | Some r when not (Range.is_empty r) ->
+        let note a =
+          let b = Math32.trailing_zero_bits a in
+          if b < !g then g := b
+        in
+        note (Range.start r);
+        note (Range.end_ r)
+      | Some _ | None -> ())
+    ranges;
+  (ranges, max (granule_bits t) (min max_granule_bits !g))
+
+let sync t =
+  let n = t.chip.entry_count in
+  let key = Config_ids.key t.ids in
+  Array.blit t.cfg 0 key 0 n;
+  Array.blit t.addr 0 key n n;
+  key.(2 * n) <- Bool.to_int t.mmwp;
+  key.((2 * n) + 1) <- Bool.to_int t.mml;
+  let id, (ranges, dgran) = Config_ids.intern t.ids (fun () -> derive t) in
+  t.ranges <- ranges;
+  t.dgran <- dgran;
+  t.generation <- id;
+  t.dirty <- false
+
+let generation t =
+  if t.dirty then sync t;
+  t.generation
+
+let decision_granule_bits t =
+  if t.dirty then sync t;
+  t.dgran
 
 let set_entry t ~index ~cfg ~addr =
   if index < 0 || index >= t.chip.entry_count then invalid_arg "set_entry: index";
   if decode_cfg_lock t.cfg.(index) then invalid_arg "set_entry: entry locked";
   Cycles.tick ~n:(2 * Cycles.mpu_reg_write) Cycles.global;
-  let changed = t.cfg.(index) <> cfg land 0xff || t.addr.(index) <> Word32.of_int addr in
-  t.cfg.(index) <- cfg land 0xff;
-  t.addr.(index) <- Word32.of_int addr;
-  refresh t;
-  emit_entry_write t index ~changed
+  if t.cfg.(index) <> cfg land 0xff || t.addr.(index) <> Word32.of_int addr then begin
+    t.cfg.(index) <- cfg land 0xff;
+    t.addr.(index) <- Word32.of_int addr;
+    note_entry_write t index
+  end
 
 let clear_entry t ~index =
   if index < 0 || index >= t.chip.entry_count then invalid_arg "clear_entry: index";
   if decode_cfg_lock t.cfg.(index) then invalid_arg "clear_entry: entry locked";
   Cycles.tick ~n:Cycles.mpu_reg_write Cycles.global;
-  let changed = t.cfg.(index) <> 0 in
-  t.cfg.(index) <- 0;
-  refresh t;
-  emit_entry_write t index ~changed
+  if t.cfg.(index) <> 0 then begin
+    t.cfg.(index) <- 0;
+    note_entry_write t index
+  end
 
 let read_entry t ~index = (t.cfg.(index), t.addr.(index))
 
 let set_mmwp t v =
   if not t.chip.epmp then invalid_arg "set_mmwp: chip has no ePMP";
   Cycles.tick ~n:Cycles.mpu_reg_write Cycles.global;
-  let changed = t.mmwp <> v in
-  t.mmwp <- v;
-  t.generation <- t.generation + 1;
-  if changed then begin
-    t.cfg_seq <- t.cfg_seq + 1;
+  if t.mmwp <> v then begin
+    t.mmwp <- v;
+    note_change t;
     match t.obs with
     | None -> ()
     | Some emit ->
@@ -168,11 +192,9 @@ let set_mmwp t v =
 let set_mml t v =
   if not t.chip.epmp then invalid_arg "set_mml: chip has no ePMP";
   Cycles.tick ~n:Cycles.mpu_reg_write Cycles.global;
-  let changed = t.mml <> v in
-  t.mml <- v;
-  t.generation <- t.generation + 1;
-  if changed then begin
-    t.cfg_seq <- t.cfg_seq + 1;
+  if t.mml <> v then begin
+    t.mml <- v;
+    note_change t;
     match t.obs with
     | None -> ()
     | Some emit ->
@@ -180,7 +202,10 @@ let set_mml t v =
   end
 
 let mml t = t.mml
-let entry_range t i = t.ranges.(i)
+
+let entry_range t i =
+  if t.dirty then sync t;
+  t.ranges.(i)
 
 let entry_allows cfg access =
   match access with
@@ -189,10 +214,11 @@ let entry_allows cfg access =
   | Perms.Execute -> decode_cfg_x cfg
 
 let check_access t ~machine_mode a access =
+  if t.dirty then sync t;
   let rec find i =
     if i >= t.chip.entry_count then None
     else
-      match entry_range t i with
+      match t.ranges.(i) with
       | Some r when Range.contains r a -> Some i
       | Some _ | None -> find (i + 1)
   in
@@ -250,9 +276,9 @@ let checker t ~cpu_machine_mode =
   {
     Memory.check =
       (fun a access -> check_access t ~machine_mode:(cpu_machine_mode ()) a access);
-    generation = (fun () -> t.generation);
+    generation = (fun () -> generation t);
     privilege = (fun () -> if cpu_machine_mode () then 1 else 0);
-    granule_bits = (fun () -> t.dgran);
+    granule_bits = (fun () -> decision_granule_bits t);
   }
 
 (* --- whole-state capture (snapshot subsystem) --- *)
@@ -275,15 +301,15 @@ let capture_state t =
   }
 
 (* Host-side restore: bypasses the lock check deliberately — it reinstates
-   a configuration that existed, it is not a CSR write. Generation still
-   advances so stale cached decisions never validate. *)
+   a configuration that existed, it is not a CSR write. The derived state
+   follows the restored contents. *)
 let restore_state t s =
   Array.blit s.s_cfg 0 t.cfg 0 t.chip.entry_count;
   Array.blit s.s_addr 0 t.addr 0 t.chip.entry_count;
   t.mmwp <- s.s_mmwp;
   t.mml <- s.s_mml;
   t.cfg_seq <- s.s_seq;
-  refresh t
+  t.dirty <- true
 
 let fingerprint t =
   let h = Array.fold_left Fp.int Fp.seed t.cfg in

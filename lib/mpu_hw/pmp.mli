@@ -82,12 +82,14 @@ val set_mml : t -> bool -> unit
 val mml : t -> bool
 
 val generation : t -> int
-(** Configuration generation: bumped by every pmpcfg/pmpaddr/mseccfg write,
-    so the bus decision cache can invalidate stale allow decisions. *)
+(** Configuration id, the bus decision-cache generation: interned from the
+    exact pmpcfg/pmpaddr contents and the mseccfg MMWP/MML bits (see
+    {!Config_ids}); the same contents give the same id, any changed word a
+    new one. *)
 
 val set_obs : t -> Obs.Event.sink option -> unit
-(** Attach an observability sink; every register write that bumps the
-    generation also emits one reconfiguration event. [None] detaches. *)
+(** Attach an observability sink; every CSR write that changes a value
+    emits one reconfiguration event. [None] detaches. *)
 
 val granule_bits : t -> int
 (** log2 of the chip's PMP granularity (4 bytes on all modeled chips): the
@@ -96,11 +98,12 @@ val granule_bits : t -> int
 val decision_granule_bits : t -> int
 (** Granularity of the {e active} configuration — minimum boundary
     alignment of the programmed entries (>= {!granule_bits}, capped at
-    4 KiB). Handed to the bus decision cache; kept current on writes. *)
+    4 KiB). Handed to the bus decision cache; derived, with the
+    configuration id, on the first query after a CSR change. *)
 
 val entry_range : t -> int -> Range.t option
 (** Decoded address range an entry matches, [None] for OFF entries.
-    Memoized: recomputed on register writes, not per access. *)
+    Memoized per configuration, not recomputed per access. *)
 
 val check_access :
   t -> machine_mode:bool -> Word32.t -> Perms.access -> (unit, string) result
@@ -110,8 +113,8 @@ val accessible_ranges : t -> Perms.access -> Range.t list
 
 val checker : t -> cpu_machine_mode:(unit -> bool) -> Memory.checker
 (** Adapter for {!Mach.Memory.set_checker}: consults the live M/U mode per
-    access and exposes generation + 4-byte granularity for the bus
-    decision cache. *)
+    access and exposes the configuration id and decision granularity for
+    the bus decision cache. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -124,4 +127,4 @@ val restore_state : t -> state -> unit
 
 val fingerprint : t -> int64
 (** FNV-1a over the architecturally visible state (never host-side caches
-    or generation counters). *)
+    or configuration ids). *)

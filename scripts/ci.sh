@@ -94,6 +94,10 @@ diff /tmp/ci_chaos_a.txt /tmp/ci_chaos_c.txt
 dune exec bench/main.exe -- fig11 difftest latency fuzz > /tmp/ci_det_a.txt
 TICKTOCK_JOBS=1 dune exec bench/main.exe -- fig11 difftest latency fuzz > /tmp/ci_det_b.txt
 diff /tmp/ci_det_a.txt /tmp/ci_det_b.txt
+# ...and across commits: the committed expected output pins every
+# model-visible byte, so a host-side speed change that moves one fails
+# here even when all modes of the new commit agree with each other.
+diff test/expected/bench-fig11-difftest-latency-fuzz.txt /tmp/ci_det_a.txt
 
 # Observation must be invisible too: the same experiments byte-identical
 # with tracing absent (default), enabled, and attached-but-disabled.
@@ -181,6 +185,7 @@ EOF
 dune exec bin/ticktock_cli.exe -- fleet -n 240 -j 1 -o /tmp/ci_fleet_j1.txt
 dune exec bin/ticktock_cli.exe -- fleet -n 240 -j 2 -o /tmp/ci_fleet_j2.txt
 diff /tmp/ci_fleet_j1.txt /tmp/ci_fleet_j2.txt
+diff test/expected/fleet-n240.txt /tmp/ci_fleet_j1.txt
 rm -f /tmp/ci_fleet.store
 if dune exec bin/ticktock_cli.exe -- fleet -n 240 -j 2 --store /tmp/ci_fleet.store --stop-after 80 2>/dev/null; then
   echo "fleet: interrupted campaign did NOT exit nonzero"
@@ -205,8 +210,8 @@ if data["host_cores"] >= 2:
     assert data["speedup_1_to_2"] >= 1.5, f"fleet scaling regressed ({data['speedup_1_to_2']}x jobs 1->2)"
     print("fleet smoke ok: %d cells, %.2fx jobs 1->2, reports identical" % (data["cells"], data["speedup_1_to_2"]))
 else:
-    print("fleet smoke ok: %d cells, reports identical (1-core host: scaling gate skipped, measured %.2fx)"
-          % (data["cells"], data["speedup_1_to_2"]))
+    assert data["speedup_1_to_2"] is None, "a 1-core host must not record a jobs 1->2 speedup"
+    print("fleet smoke ok: %d cells, reports identical (1-core host: no scaling measured)" % data["cells"])
 EOF
 # Fabric smoke: the multi-board campaign's report must be byte-identical
 # at every jobs setting, and a killed campaign (--stop-after) resumed from
@@ -214,6 +219,7 @@ EOF
 dune exec bin/ticktock_cli.exe -- fabric --plans clean,lossy -n 10 -j 1 -o /tmp/ci_fab_j1.txt
 dune exec bin/ticktock_cli.exe -- fabric --plans clean,lossy -n 10 -j 2 -o /tmp/ci_fab_j2.txt
 diff /tmp/ci_fab_j1.txt /tmp/ci_fab_j2.txt
+diff test/expected/fabric-clean-lossy-n10.txt /tmp/ci_fab_j1.txt
 rm -f /tmp/ci_fab.store
 if dune exec bin/ticktock_cli.exe -- fabric --plans clean,lossy -n 10 -j 2 --store /tmp/ci_fab.store --stop-after 6 2>/dev/null; then
   echo "fabric: interrupted campaign did NOT exit nonzero"
@@ -243,6 +249,8 @@ assert data["reports_identical"], "fabric reports diverged across jobs settings"
 assert data["silent_corruptions"] == 0, f"silent cross-board corruption ({data['silent_corruptions']})"
 for row in data["scaling"]:
     assert row["ok"], f"fabric campaign failed at jobs={row['jobs']}"
+assert (data["speedup_1_to_2"] is None) == (data["host_cores"] < 2), \
+    "jobs 1->2 speedup must be recorded exactly when the host has 2+ cores"
 print("fabric smoke ok: %d plans x %d cuts, zero silent corruption, reports identical"
       % (data["plans"], data["cuts_per_plan"]))
 EOF

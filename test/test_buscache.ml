@@ -226,6 +226,406 @@ let test_cache_stats_count () =
   check_int "one cold miss" 1 misses;
   check_int "nine warm hits" 9 hits
 
+(* --- configuration ids: cached decisions survive a context switch ---
+
+   Each model reports an id interned from its exact register contents as
+   the decision-cache generation, so a switch A -> B -> A revalidates A's
+   cached allows. The lockstep fuzz checks the cache stays invisible: every
+   probe through the cached bus must agree with an uncacheable oracle bus
+   over the same model, across configuration cycling, identical rewrites,
+   enable toggles, snapshot restores and single-register corruption. *)
+
+module V7 = Mpu_hw.Armv7m_mpu
+module V8 = Mpu_hw.Armv8m_mpu
+module Pmp = Mpu_hw.Pmp
+
+let window = 0x2000_0000
+let window_size = 0x1_0000
+let random_perms rng = List.nth Perms.all (Random.State.int rng (List.length Perms.all))
+
+(* One board per architecture. [r_random] draws an unlocked configuration
+   and returns its applier, which rewrites every register the way a
+   kernel's setup_mpu does; locked PMP entries come only from corruption. *)
+type rig = {
+  r_name : string;
+  r_mem : Memory.t;  (* the real, cacheable checker *)
+  r_oracle : Memory.t;  (* the same model behind an uncacheable checker *)
+  r_set_priv : bool -> unit;
+  r_random : Random.State.t -> unit -> unit;  (* a random config's applier *)
+  r_toggle : Random.State.t -> unit;
+  r_corrupt : Random.State.t -> unit;
+  r_capture : unit -> unit -> unit;  (* capture now, restore later *)
+  r_generation : unit -> int;
+  r_latched : unit -> int;  (* denials the bus latched (SCB), or -1 *)
+}
+
+let ignore_rejected f = try f () with Invalid_argument _ -> ()
+
+let v7_rig () =
+  let m = Machine.create_arm () in
+  let mpu = m.Machine.arm_mpu and cpu = m.Machine.arm_cpu in
+  let oracle = Memory.create () in
+  Memory.set_checker_fn oracle
+    (Some (fun a acc -> V7.check_access mpu ~privileged:(Fluxarm.Cpu.privileged cpu) a acc));
+  let random rng =
+    let regs =
+      Array.init V7.region_count (fun i ->
+          if Random.State.int rng 3 = 0 then (V7.encode_rbar ~addr:0 ~region:i, 0)
+          else
+            let size = 1 lsl (5 + Random.State.int rng 9) in
+            let base = window + (Random.State.int rng (window_size / size) * size) in
+            let srd = if size >= 256 && Random.State.bool rng then Random.State.int rng 256 else 0 in
+            ( V7.encode_rbar ~addr:base ~region:i,
+              V7.encode_rasr ~enable:true ~size ~srd ~perms:(random_perms rng) ))
+    in
+    fun () ->
+      Array.iteri (fun index (rbar, rasr) -> V7.write_region mpu ~index ~rbar ~rasr) regs;
+      V7.set_enabled mpu true
+  in
+  {
+    r_name = "v7";
+    r_mem = m.Machine.arm_mem;
+    r_oracle = oracle;
+    r_set_priv =
+      (fun p -> Fluxarm.Cpu.set_special_raw cpu Fluxarm.Regs.Control (if p then 0 else 1));
+    r_random = random;
+    r_toggle = (fun _ -> V7.set_enabled mpu (not (V7.enabled mpu)));
+    r_corrupt =
+      (fun rng ->
+        let index = Random.State.int rng V7.region_count in
+        let rbar, rasr = V7.read_region mpu ~index in
+        let bit = 1 lsl Random.State.int rng 32 in
+        ignore_rejected (fun () ->
+            if Random.State.bool rng then V7.write_region mpu ~index ~rbar:(rbar lxor bit) ~rasr
+            else V7.write_region mpu ~index ~rbar ~rasr:(rasr lxor bit)));
+    r_capture =
+      (fun () ->
+        let s = V7.capture_state mpu in
+        fun () -> V7.restore_state mpu s);
+    r_generation = (fun () -> V7.generation mpu);
+    r_latched = (fun () -> Mpu_hw.Scb.fault_count m.Machine.arm_scb);
+  }
+
+let v8_rig () =
+  let m = Machine.create_arm_v8 () in
+  let mpu = m.Machine.v8_mpu and cpu = m.Machine.v8_cpu in
+  let oracle = Memory.create () in
+  Memory.set_checker_fn oracle
+    (Some (fun a acc -> V8.check_access mpu ~privileged:(Fluxarm.Cpu.privileged cpu) a acc));
+  let random rng =
+    let regs =
+      Array.init V8.region_count (fun _ ->
+          if Random.State.int rng 3 = 0 then (0, 0)
+          else
+            let base = window + (Random.State.int rng (window_size / 32) * 32) in
+            let limit = base + (32 * (1 + Random.State.int rng 64)) - 1 in
+            (V8.encode_rbar ~base ~perms:(random_perms rng), V8.encode_rlar ~limit ~enable:true))
+    in
+    fun () ->
+      Array.iteri (fun index (rbar, rasr) -> V8.write_region mpu ~index ~rbar ~rasr) regs;
+      V8.set_enabled mpu true
+  in
+  {
+    r_name = "v8";
+    r_mem = m.Machine.v8_mem;
+    r_oracle = oracle;
+    r_set_priv =
+      (fun p -> Fluxarm.Cpu.set_special_raw cpu Fluxarm.Regs.Control (if p then 0 else 1));
+    r_random = random;
+    r_toggle = (fun _ -> V8.set_enabled mpu (not (V8.enabled mpu)));
+    r_corrupt =
+      (fun rng ->
+        let index = Random.State.int rng V8.region_count in
+        let rbar, rlar = V8.read_region mpu ~index in
+        let bit = 1 lsl Random.State.int rng 32 in
+        ignore_rejected (fun () ->
+            if Random.State.bool rng then V8.write_region mpu ~index ~rbar:(rbar lxor bit) ~rasr:rlar
+            else V8.write_region mpu ~index ~rbar ~rasr:(rlar lxor bit)));
+    r_capture =
+      (fun () ->
+        let s = V8.capture_state mpu in
+        fun () -> V8.restore_state mpu s);
+    r_generation = (fun () -> V8.generation mpu);
+    r_latched = (fun () -> -1);
+  }
+
+let pmp_rig () =
+  let m = Machine.create_riscv Pmp.earlgrey in
+  let pmp = m.Machine.rv_pmp and mmode = m.Machine.rv_machine_mode in
+  let oracle = Memory.create () in
+  Memory.set_checker_fn oracle (Some (fun a acc -> Pmp.check_access pmp ~machine_mode:!mmode a acc));
+  let n = Pmp.earlgrey.Pmp.entry_count in
+  let random rng =
+    let entries =
+      Array.init n (fun _ ->
+          let cfg mode =
+            Pmp.encode_cfg ~r:(Random.State.bool rng) ~w:(Random.State.bool rng)
+              ~x:(Random.State.bool rng) ~mode ~lock:false
+          in
+          match Random.State.int rng 4 with
+          | 0 -> (0, 0)
+          | 1 -> (cfg Pmp.Tor, (window + (4 * Random.State.int rng (window_size / 4))) lsr 2)
+          | 2 -> (cfg Pmp.Na4, (window + (4 * Random.State.int rng (window_size / 4))) lsr 2)
+          | _ ->
+            let size = 1 lsl (3 + Random.State.int rng 10) in
+            let start = window + (Random.State.int rng (window_size / size) * size) in
+            (cfg Pmp.Napot, Pmp.napot_addr ~start ~size))
+    in
+    fun () ->
+      Array.iteri
+        (fun index (cfg, addr) -> ignore_rejected (fun () -> Pmp.set_entry pmp ~index ~cfg ~addr))
+        entries
+  in
+  {
+    r_name = "pmp";
+    r_mem = m.Machine.rv_mem;
+    r_oracle = oracle;
+    r_set_priv = (fun p -> mmode := p);
+    r_random = random;
+    r_toggle =
+      (fun rng ->
+        if Random.State.bool rng then Pmp.set_mmwp pmp (Random.State.bool rng)
+        else Pmp.set_mml pmp (Random.State.bool rng));
+    r_corrupt =
+      (fun rng ->
+        let index = Random.State.int rng n in
+        let cfg, addr = Pmp.read_entry pmp ~index in
+        ignore_rejected (fun () ->
+            if Random.State.bool rng then
+              Pmp.set_entry pmp ~index ~cfg:(cfg lxor (1 lsl Random.State.int rng 8)) ~addr
+            else Pmp.set_entry pmp ~index ~cfg ~addr:(addr lxor (1 lsl Random.State.int rng 30))));
+    r_capture =
+      (fun () ->
+        let s = Pmp.capture_state pmp in
+        fun () -> Pmp.restore_state pmp s);
+    r_generation = (fun () -> Pmp.generation pmp);
+    r_latched = (fun () -> -1);
+  }
+
+let rigs = [ v7_rig; v8_rig; pmp_rig ]
+
+(* One probe of each bus path at [a]; returns the number of denials the
+   cached bus saw, after checking it agreed with the oracle bus. *)
+let probe rig name rng a =
+  let access = List.nth [ Perms.Read; Perms.Write; Perms.Execute ] (Random.State.int rng 3) in
+  let c = Memory.check rig.r_mem a access and o = Memory.check rig.r_oracle a access in
+  if c <> o then Alcotest.failf "%s: check %#x disagrees with the oracle" name a;
+  let word f mem = match f mem with () -> None | exception Memory.Access_fault f -> Some f in
+  let a4 = a land lnot 3 and v = Random.State.bits rng and load = Random.State.bool rng in
+  let fast mem = if load then ignore (Memory.load32 mem a4) else Memory.store32 mem a4 v in
+  let hoisted mem =
+    Memory.hoist mem;
+    if load then ignore (Memory.load32_fast mem a4) else Memory.store32_fast mem a4 v
+  in
+  let fetch mem = Memory.check_fetch16 mem (a land lnot 1) in
+  let denials = ref (if Result.is_error c then 1 else 0) in
+  List.iter
+    (fun (what, cached, uncached) ->
+      let fc = word cached rig.r_mem and fo = word uncached rig.r_oracle in
+      if fc <> fo then Alcotest.failf "%s: %s at %#x disagrees with the oracle" name what a;
+      if fc <> None then incr denials)
+    [ ("word access", fast, fast); ("hoisted access", hoisted, fast); ("fetch", fetch, fetch) ];
+  !denials
+
+let test_config_lockstep_fuzz () =
+  List.iter
+    (fun make ->
+      for seed = 1 to 6 do
+        let rig = make () in
+        let rng = Random.State.make [| seed; 0xC0F1 |] in
+        let a = rig.r_random rng and b = rig.r_random rng in
+        a ();
+        let saved = ref (rig.r_capture ()) in
+        let current = ref a in
+        (* a small address pool keeps the decision cache warm, so stale
+           entries would actually be probed *)
+        let pool =
+          Array.init 32 (fun _ -> window - 0x100 + Random.State.int rng (window_size + 0x200))
+        in
+        let denied = ref 0 and latched0 = rig.r_latched () in
+        for step = 1 to 60 do
+          (match Random.State.int rng 8 with
+          | 0 | 1 -> current := if !current == a then b else a; !current ()
+          | 2 -> !current () (* identical rewrite *)
+          | 3 -> rig.r_toggle rng
+          | 4 -> !saved ()
+          | 5 -> saved := rig.r_capture ()
+          | 6 -> rig.r_corrupt rng
+          | _ -> rig.r_set_priv (Random.State.bool rng));
+          let name = Printf.sprintf "%s seed %d step %d" rig.r_name seed step in
+          Array.iter (fun a -> denied := !denied + probe rig name rng a) pool
+        done;
+        if latched0 >= 0 then
+          check_int (rig.r_name ^ ": the SCB latched every denial") !denied
+            (rig.r_latched () - latched0)
+      done)
+    rigs
+
+(* same register contents, same id; any changed word, a fresh id *)
+let test_config_ids_track_contents () =
+  List.iter
+    (fun make ->
+      let rig = make () in
+      let rng = Random.State.make [| 7 |] in
+      let a = rig.r_random rng and b = rig.r_random rng in
+      a ();
+      let ida = rig.r_generation () in
+      b ();
+      let idb = rig.r_generation () in
+      check_bool (rig.r_name ^ ": B gets its own id") true (ida <> idb);
+      a ();
+      check_int (rig.r_name ^ ": back to A, back to A's id") ida (rig.r_generation ());
+      b ();
+      check_int (rig.r_name ^ ": back to B, back to B's id") idb (rig.r_generation ());
+      let restore_b = rig.r_capture () in
+      a ();
+      restore_b ();
+      check_int (rig.r_name ^ ": a restore of B is B") idb (rig.r_generation ()))
+    rigs
+
+(* every register word of each model, changed alone, moves the id *)
+let test_any_changed_word_moves_the_id () =
+  let seen = Hashtbl.create 64 in
+  let fresh name id =
+    check_bool (name ^ ": fresh id") false (Hashtbl.mem seen id);
+    Hashtbl.replace seen id ()
+  in
+  let v7 = V7.create () in
+  for index = 0 to V7.region_count - 1 do
+    V7.write_region v7 ~index
+      ~rbar:(V7.encode_rbar ~addr:(window + (index * 0x1000)) ~region:index)
+      ~rasr:(V7.encode_rasr ~enable:true ~size:0x1000 ~srd:0 ~perms:Perms.Read_write_only)
+  done;
+  Hashtbl.reset seen;
+  let base = V7.generation v7 in
+  fresh "v7 base" base;
+  for index = 0 to V7.region_count - 1 do
+    let rbar, rasr = V7.read_region v7 ~index in
+    (* VALID (rbar bit 4) and XN (rasr bit 28) are free of validation *)
+    V7.write_region v7 ~index ~rbar:(rbar lxor 0x10) ~rasr;
+    fresh (Printf.sprintf "v7 rbar %d" index) (V7.generation v7);
+    V7.write_region v7 ~index ~rbar ~rasr:(rasr lxor (1 lsl 28));
+    fresh (Printf.sprintf "v7 rasr %d" index) (V7.generation v7);
+    V7.write_region v7 ~index ~rbar ~rasr;
+    check_int "v7 restored word, restored id" base (V7.generation v7)
+  done;
+  V7.set_enabled v7 true;
+  fresh "v7 ctrl" (V7.generation v7);
+  let v8 = V8.create () in
+  Hashtbl.reset seen;
+  let base = V8.generation v8 in
+  fresh "v8 base" base;
+  for index = 0 to V8.region_count - 1 do
+    let rbar, rlar = V8.read_region v8 ~index in
+    V8.write_region v8 ~index ~rbar:(rbar lxor 1) ~rasr:rlar;
+    fresh (Printf.sprintf "v8 rbar %d" index) (V8.generation v8);
+    V8.write_region v8 ~index ~rbar ~rasr:(rlar lxor 2);
+    fresh (Printf.sprintf "v8 rlar %d" index) (V8.generation v8);
+    V8.write_region v8 ~index ~rbar ~rasr:rlar;
+    check_int "v8 restored word, restored id" base (V8.generation v8)
+  done;
+  V8.set_enabled v8 true;
+  fresh "v8 ctrl" (V8.generation v8);
+  let pmp = Pmp.create Pmp.earlgrey in
+  Hashtbl.reset seen;
+  let base = Pmp.generation pmp in
+  fresh "pmp base" base;
+  for index = 0 to Pmp.earlgrey.Pmp.entry_count - 1 do
+    Pmp.set_entry pmp ~index ~cfg:1 ~addr:0;
+    fresh (Printf.sprintf "pmp cfg %d" index) (Pmp.generation pmp);
+    Pmp.set_entry pmp ~index ~cfg:0 ~addr:1;
+    fresh (Printf.sprintf "pmp addr %d" index) (Pmp.generation pmp);
+    Pmp.set_entry pmp ~index ~cfg:0 ~addr:0;
+    check_int "pmp restored word, restored id" base (Pmp.generation pmp)
+  done;
+  Pmp.set_mmwp pmp true;
+  fresh "pmp mmwp" (Pmp.generation pmp);
+  Pmp.set_mml pmp true;
+  fresh "pmp mml" (Pmp.generation pmp)
+
+(* an identical rewrite is still a modeled register write — same cycles,
+   same validation — but it keeps the id, the cfg_seq and the event stream *)
+let test_identical_rewrite_keeps_the_id () =
+  let mpu = V7.create () in
+  let events = ref 0 in
+  V7.set_obs mpu (Some (fun _ -> incr events));
+  let setup () =
+    for index = 0 to 3 do
+      V7.write_region mpu ~index
+        ~rbar:(V7.encode_rbar ~addr:(window + (index * 0x400)) ~region:index)
+        ~rasr:(V7.encode_rasr ~enable:true ~size:0x400 ~srd:0 ~perms:Perms.Read_only)
+    done;
+    V7.clear_region mpu ~index:4;
+    V7.set_enabled mpu true
+  in
+  let cycles f =
+    let c0 = Mach.Cycles.read Mach.Cycles.global in
+    f ();
+    Mach.Cycles.read Mach.Cycles.global - c0
+  in
+  let first = cycles setup in
+  let id = V7.generation mpu and fp = V7.fingerprint mpu and ev = !events in
+  let again = cycles setup in
+  check_int "same cycle charge" first again;
+  check_int "same id" id (V7.generation mpu);
+  check_bool "same cfg_seq (fingerprint)" true (fp = V7.fingerprint mpu);
+  check_int "no reconfiguration events" ev !events;
+  (match
+     V7.write_region mpu ~index:0
+       ~rbar:(V7.encode_rbar ~addr:(window + 0x20) ~region:0)
+       ~rasr:(V7.encode_rasr ~enable:true ~size:0x400 ~srd:0 ~perms:Perms.Read_only)
+   with
+  | () -> Alcotest.fail "misaligned region accepted"
+  | exception Invalid_argument _ -> ());
+  check_int "a rejected write keeps the id" id (V7.generation mpu)
+
+(* a configuration dropped when the id table fills comes back under a
+   fresh id: an id is never handed out twice *)
+let test_dropped_ids_never_reused () =
+  let mpu = V7.create () in
+  let config k =
+    V7.write_region mpu ~index:0
+      ~rbar:(V7.encode_rbar ~addr:(window + (k * 32)) ~region:0)
+      ~rasr:(V7.encode_rasr ~enable:true ~size:32 ~srd:0 ~perms:Perms.Read_only);
+    V7.generation mpu
+  in
+  let id0 = config 0 in
+  let ids = List.init (Mpu_hw.Config_ids.capacity + 1) (fun k -> config (k + 1)) in
+  let top = List.fold_left max id0 ids in
+  check_bool "ids strictly increase" true (List.sort_uniq compare ids = ids);
+  let again = config 0 in
+  check_bool "the dropped configuration gets a fresh id" true (again > top);
+  check_int "which it then keeps" again (config 0)
+
+(* ticktock-arm-mc: the Thumb engine's block stamps follow configuration
+   ids. Revoking execute under B faults the next dispatch; switching back
+   to A revalidates the stamp taken under A without a single new check. *)
+let test_mc_stamps_follow_config_ids () =
+  let m, _kernel = Boards.make_ticktock_arm_mc () in
+  let mem = m.Machine.arm_mem and mpu = m.Machine.arm_mpu in
+  let cpu = m.Machine.arm_cpu in
+  Fluxarm.Cpu.set_special_raw cpu Fluxarm.Regs.Control 1;
+  let base = 0x2000_8000 in
+  let config perms () = grant_v7 mpu ~index:7 ~base ~size:4096 perms in
+  let a = config Perms.Read_write_execute and b = config Perms.Read_write_only in
+  a ();
+  Mpu_hw.Armv7m_mpu.set_enabled mpu true;
+  ignore (Fluxarm.Thumb.assemble mem base [ Fluxarm.Thumb.Movw (Fluxarm.Regs.R0, 3); Fluxarm.Thumb.Svc 9 ]);
+  let run () =
+    Fluxarm.Cpu.set_special_raw cpu Fluxarm.Regs.Pc base;
+    Fluxarm.Mc.run cpu
+  in
+  check_bool "runs under A" true (run () = Fluxarm.Mc.Svc_taken 9);
+  check_bool "warm under A" true (run () = Fluxarm.Mc.Svc_taken 9);
+  let ida = V7.generation mpu in
+  b ();
+  expect_fault "execute revoked under B" ~addr:base (fun () -> run ());
+  a ();
+  check_int "A's id again" ida (V7.generation mpu);
+  let stats = Memory.cache_stats mem in
+  check_bool "runs under A again" true (run () = Fluxarm.Mc.Svc_taken 9);
+  check_bool "A's stamp revalidated without a check" true (Memory.cache_stats mem = stats)
+
 let suite =
   [
     Alcotest.test_case "word fast path = byte path" `Quick test_word_fast_path_equivalence;
@@ -243,4 +643,15 @@ let suite =
     Alcotest.test_case "decision granularity tracks config" `Quick
       test_decision_granularity_tracks_config;
     Alcotest.test_case "cache stats" `Quick test_cache_stats_count;
+    Alcotest.test_case "config ids: cached = uncached lockstep fuzz" `Quick
+      test_config_lockstep_fuzz;
+    Alcotest.test_case "config ids: same contents, same id" `Quick test_config_ids_track_contents;
+    Alcotest.test_case "config ids: any changed word moves the id" `Quick
+      test_any_changed_word_moves_the_id;
+    Alcotest.test_case "config ids: identical rewrite keeps the id" `Quick
+      test_identical_rewrite_keeps_the_id;
+    Alcotest.test_case "config ids: dropped ids never reused" `Quick
+      test_dropped_ids_never_reused;
+    Alcotest.test_case "config ids: arm-mc stamps revalidate" `Quick
+      test_mc_stamps_follow_config_ids;
   ]

@@ -74,7 +74,7 @@ let test_fuzz_deterministic () =
 (* --- bus decision cache vs. the raw MPU walk ---
 
    The micro-TLB in [Memory] caches allow decisions keyed by (granule
-   block, privilege, access) and guarded by the MPU's generation counter.
+   block, privilege, access) and guarded by the MPU's configuration id.
    These rounds drive a random interleaving of register writes, privilege
    flips and accesses, and assert the cached verdict always equals the
    authoritative uncached walk — i.e. the cache is observationally
