@@ -54,7 +54,6 @@ type t = {
   sn_procs : int;  (** process count at capture (pristine gate) *)
   sn_mem : Memory.snapshot;
   sn_restores : (string * (unit -> unit)) list;  (** component order *)
-  sn_fp : int64;  (** whole-board fingerprint at capture *)
 }
 
 (** Splice extra components (capsule-owned devices like UARTs and GPIO
@@ -85,7 +84,6 @@ let capture target =
     sn_mem = Memory.capture target.tg_mem;
     sn_restores =
       List.map (fun c -> (c.co_name, c.co_capture ())) target.tg_components;
-    sn_fp = fingerprint target;
   }
 
 let check_identity ~what target ~arch ~board =
@@ -98,14 +96,17 @@ let check_identity ~what target ~arch ~board =
       (Printf.sprintf "Snapshot.%s: board mismatch (snapshot %s, board %s)" what board
          target.tg_board)
 
-let restore target t =
+(** [restore ?keep target snap]. With [~keep], the live memory pages of
+    that page-aligned range survive the restore (see {!Memory.restore}) —
+    a power-cut board keeps its flash. *)
+let restore ?keep target t =
   check_identity ~what:"restore" target ~arch:t.sn_arch ~board:t.sn_board;
   (* Memory first: flushes the decision cache and bumps the code
      generation, so nothing cached against pre-restore bytes survives.
      Then the components in capture order — the MPU's configuration id
      follows its restored registers, and the kernel runs last, restoring
      the obs recorder ring over the memory-restore flush event. *)
-  Memory.restore target.tg_mem t.sn_mem;
+  Memory.restore ?keep target.tg_mem t.sn_mem;
   List.iter (fun (_, thunk) -> thunk ()) t.sn_restores
 
 (** [fork target snap f]: restore and run one campaign round. The named
@@ -114,8 +115,6 @@ let restore target t =
 let fork target t f =
   restore target t;
   f ()
-
-let captured_fingerprint t = t.sn_fp
 
 (* --- the on-disk format --- *)
 
@@ -166,20 +165,25 @@ let save target path =
       Marshal.to_channel oc header [];
       Marshal.to_channel oc (Memory.snapshot_pages snap) [])
 
+(* A file cut short raises [End_of_file] (before a value) or [Failure]
+   (inside one) from the channel readers; both are the same refusal. *)
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let m = really_input_string ic (String.length magic) in
-      if m <> magic then invalid_arg ("Snapshot.load: not a snapshot file: " ^ path);
-      let header : header = Marshal.from_channel ic in
-      if header.hd_version <> version then
-        invalid_arg
-          (Printf.sprintf "Snapshot.load: unsupported version %d (supported: %d)"
-             header.hd_version version);
-      let pages : (int * string) list = Marshal.from_channel ic in
-      (header, pages))
+      try
+        let m = really_input_string ic (String.length magic) in
+        if m <> magic then invalid_arg ("Snapshot.load: not a snapshot file: " ^ path);
+        let header : header = Marshal.from_channel ic in
+        if header.hd_version <> version then
+          invalid_arg
+            (Printf.sprintf "Snapshot.load: unsupported version %d (supported: %d)"
+               header.hd_version version);
+        let pages : (int * string) list = Marshal.from_channel ic in
+        (header, pages)
+      with End_of_file | Failure _ ->
+        invalid_arg ("Snapshot.load: truncated snapshot file: " ^ path))
 
 (** Inspect a snapshot file's header without needing a board. *)
 let describe path =

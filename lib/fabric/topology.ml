@@ -12,7 +12,7 @@
     Power loss is first-class: {!cut} kills a board for an outage window
     (its RAM, radio queues and host agents die with it; its {e flash}
     survives), and the reboot path is the real deployment path — restore
-    the pristine post-boot image, put the surviving flash back, run the
+    the pristine post-boot image around the surviving flash, run the
     node's flash fsck (the OTA bootloader step), and Tock-style
     [boot_load] the process set back out of flash. Whole topologies
     snapshot and fork like single boards: {!capture}/{!restore} compose
@@ -170,16 +170,12 @@ let cut (t : t) id ~outage =
     Obs.Metrics.host_incr "fabric/power_cuts"
   end
 
-(* The reboot path: pristine image + surviving flash + fsck + boot load.
-   This is the same sequence a real board walks after power returns, and
-   the only way OTA activations take effect. *)
+(* The reboot path: pristine image with the surviving app flash kept + fsck
+   + boot load. This is the same sequence a real board walks after power
+   returns, and the only way OTA activations take effect. *)
 let reboot (t : t) (n : node) ~reseed =
-  let mem = n.nd_target.Snapshot.tg_mem in
-  let flash_base = Range.start Layout.app_flash in
-  let flash = Memory.read_bytes mem flash_base (Range.size Layout.app_flash) in
-  Snapshot.restore n.nd_target n.nd_pristine;
-  Memory.blit_string mem flash_base flash;
-  n.nd_last_fsck <- n.nd_spec.ns_fsck mem;
+  Snapshot.restore ~keep:Layout.app_flash n.nd_target n.nd_pristine;
+  n.nd_last_fsck <- n.nd_spec.ns_fsck n.nd_target.Snapshot.tg_mem;
   let loaded =
     n.nd_k.Instance.boot_load ~registry:n.nd_spec.ns_registry ~require_credentials:true
   in

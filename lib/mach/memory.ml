@@ -184,28 +184,32 @@ let reset_cache_stats t =
   t.dc_hits <- 0;
   t.dc_misses <- 0
 
+(* The page every unwritten key reads as. Shared by every memory and never
+   handed out by a write path: [wpage] is the only place a page is created. *)
+let zero_page = Bytes.make page_size '\000'
+
+(* Page resolution for the read paths. A key with no page reads as
+   [zero_page]; reading never materialises anything. *)
 let page t addr =
   let key = addr lsr page_bits in
   if key = t.last_key then t.last_page
   else begin
-    let p =
-      match Hashtbl.find_opt t.pages key with
-      | Some p -> p
-      | None ->
-        let p = Bytes.make page_size '\000' in
-        Hashtbl.replace t.pages key p;
-        (* a freshly materialised page is exclusively ours *)
-        Hashtbl.replace t.owner key t.era;
-        p
-    in
+    let p = match Hashtbl.find_opt t.pages key with Some p -> p | None -> zero_page in
     t.last_key <- key;
     t.last_page <- p;
     p
   end
 
-(* Page resolution for the write paths: like [page], but clones a page
-   whose Bytes an outstanding snapshot may still reference (owned in an
-   earlier era) before handing it out. *)
+(* Install [q] as this memory's private page for [key], repointing the
+   read memo at it. *)
+let own t key q =
+  Hashtbl.replace t.pages key q;
+  Hashtbl.replace t.owner key t.era;
+  if t.last_key = key then t.last_page <- q
+
+(* Page resolution for the write paths: materialises a missing page, and
+   clones a page whose Bytes an outstanding snapshot may still reference
+   (owned in an earlier era), before handing it out. *)
 let wpage t addr =
   let key = addr lsr page_bits in
   if key <> t.last_wpriv then begin
@@ -213,12 +217,8 @@ let wpage t addr =
     | Some p -> (
       match Hashtbl.find_opt t.owner key with
       | Some e when e = t.era -> ()
-      | Some _ | None ->
-        let q = Bytes.copy p in
-        Hashtbl.replace t.pages key q;
-        Hashtbl.replace t.owner key t.era;
-        if t.last_key = key then t.last_page <- q)
-    | None -> () (* miss: [page] below materialises and owns it *));
+      | Some _ | None -> own t key (Bytes.copy p))
+    | None -> own t key (Bytes.make page_size '\000'));
     t.last_wpriv <- key
   end;
   page t addr
@@ -486,12 +486,35 @@ let capture t =
   t.last_wpriv <- -1;
   { snap_pages = Hashtbl.copy t.pages; snap_ic_seq = t.ic_seq }
 
-let restore t s =
+let restore ?keep t s =
+  (* [keep]: the live pages of a page-aligned range stay (an absent one
+     stays absent) and every other key comes from the snapshot. A kept
+     page this memory owned stays owned; every other page may be shared
+     with a snapshot, so its next write clones it. *)
+  let in_keep, kept =
+    match keep with
+    | None -> ((fun _ -> false), [])
+    | Some r ->
+      if Range.start r land (page_size - 1) <> 0 || Range.size r land (page_size - 1) <> 0 then
+        invalid_arg "Memory.restore: keep range is not page-aligned";
+      let lo = Range.start r lsr page_bits and hi = Range.end_ r lsr page_bits in
+      let in_keep k = k >= lo && k < hi in
+      ( in_keep,
+        Hashtbl.fold
+          (fun k p acc ->
+            if in_keep k then (k, p, Hashtbl.find_opt t.owner k = Some t.era) :: acc else acc)
+          t.pages [] )
+  in
   Hashtbl.reset t.pages;
-  Hashtbl.iter (fun k p -> Hashtbl.replace t.pages k p) s.snap_pages;
+  Hashtbl.iter (fun k p -> if not (in_keep k) then Hashtbl.replace t.pages k p) s.snap_pages;
   t.ic_seq <- s.snap_ic_seq;
   Hashtbl.reset t.owner;
   t.era <- t.era + 1;
+  List.iter
+    (fun (k, p, owned) ->
+      Hashtbl.replace t.pages k p;
+      if owned then Hashtbl.replace t.owner k t.era)
+    kept;
   t.last_wpriv <- -1;
   t.last_key <- -1;
   t.last_page <- no_page;
@@ -506,8 +529,6 @@ let restore t s =
   match t.obs with
   | None -> ()
   | Some emit -> emit (Obs.Event.Buscache_flush { reason = "restore" })
-
-let zero_page = Bytes.make page_size '\000'
 
 (* --- snapshot (de)serialization, for the on-disk board-snapshot format.
    All-zero pages are elided: an absent page reads as zeros, so the
@@ -532,12 +553,13 @@ let snapshot_of_pages pages =
   { snap_pages; snap_ic_seq = 0 }
 
 let fingerprint t =
-  (* Absent pages read as zeros, so a page materialised by a read miss must
+  (* Absent pages read as zeros, so a page written back to all zeros must
      hash like no page at all: skip all-zero pages. *)
   let keys =
     Hashtbl.fold (fun k p acc -> if Bytes.equal p zero_page then acc else k :: acc) t.pages []
+    |> List.sort compare
   in
   List.fold_left
     (fun h k -> Fp.bytes (Fp.int h k) (Hashtbl.find t.pages k))
-    (Fp.int Fp.seed (List.length (List.sort compare keys)))
-    (List.sort compare keys)
+    (Fp.int Fp.seed (List.length keys))
+    keys

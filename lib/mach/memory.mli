@@ -2,7 +2,7 @@
 
     Models the microcontroller's flat 32-bit physical address space (no MMU,
     no translation — exactly the setting that forces Tock onto MPUs). Memory
-    is allocated lazily in pages so a 4 GiB space costs only what is touched.
+    is allocated lazily in pages so a 4 GiB space costs only what is written.
 
     An optional {e access checker} is consulted on every load/store/fetch;
     the MPU hardware models install themselves here, so every memory access
@@ -173,8 +173,10 @@ val check : t -> Word32.t -> Perms.access -> (unit, string) result
     installed. Consults (and fills) the decision cache. *)
 
 val touched_pages : t -> int
-(** Number of 4 KiB pages materialised so far (for tests and footprint
-    reporting). *)
+(** Number of 4 KiB pages materialised: written at least once, or carried
+    in by a {!restore} (for tests and footprint reporting). Reads never
+    materialise a page: an unwritten page reads as zeros from one shared
+    page that no write path ever hands out. *)
 
 (** {1 Snapshots}
 
@@ -191,7 +193,15 @@ val touched_pages : t -> int
 type snapshot
 
 val capture : t -> snapshot
-val restore : t -> snapshot -> unit
+
+val restore : ?keep:Range.t -> t -> snapshot -> unit
+(** Point the live memory back at a snapshot. With [~keep], the live pages
+    inside the range stay as they are and the snapshot's pages inside it
+    are ignored, so the range keeps its live bytes (a page absent live
+    stays absent, i.e. zero); everything outside comes from the snapshot.
+    This is how a board reboots with its flash intact. The caches are
+    invalidated exactly as without [~keep]. Raises [Invalid_argument] if
+    the range does not start and end on a page boundary. *)
 
 val snapshot_pages : snapshot -> (int * string) list
 (** The snapshot's materialised pages as [(page key, page bytes)] pairs in
@@ -204,7 +214,7 @@ val snapshot_of_pages : (int * string) list -> snapshot
 
 val fingerprint : t -> int64
 (** FNV-1a over (key, bytes) of all materialised pages in key order,
-    skipping all-zero pages — so a page materialised by a read miss hashes
+    skipping all-zero pages — so a page written back to zeros hashes
     identically to an untouched one. Host-side cache state (decision cache,
     memos, generations) is excluded: the fingerprint covers exactly the
     bytes an emulated program could observe. *)

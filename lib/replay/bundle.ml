@@ -77,26 +77,27 @@ let save (t : t) path =
       Marshal.to_channel oc t.bu_marks [];
       Marshal.to_channel oc t.bu_events [])
 
+(* A file cut short raises [End_of_file] (before a value) or [Failure]
+   (inside one) from the channel readers; both are the same refusal. *)
 let load path : t =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let m =
-        try really_input_string ic (String.length magic)
-        with End_of_file -> refuse "%s: not a replay bundle (truncated)" path
-      in
-      if m <> magic then refuse "%s: not a replay bundle" path;
-      let header : header = Marshal.from_channel ic in
-      if header.hd_version <> version then
-        refuse "%s: unsupported bundle version %d (supported: %d)" path header.hd_version
-          version;
-      if header.hd_layout_fp <> Ticktock.Snapshot.layout_fingerprint () then
-        refuse "%s: memory-layout mismatch (bundle built against a different map)" path;
-      let bu_pages : (int * string) list = Marshal.from_channel ic in
-      let bu_marks : (int * int64) array = Marshal.from_channel ic in
-      let bu_events : (int * Obs.Event.t) list = Marshal.from_channel ic in
-      { bu_header = header; bu_pages; bu_marks; bu_events })
+      try
+        let m = really_input_string ic (String.length magic) in
+        if m <> magic then refuse "%s: not a replay bundle" path;
+        let header : header = Marshal.from_channel ic in
+        if header.hd_version <> version then
+          refuse "%s: unsupported bundle version %d (supported: %d)" path header.hd_version
+            version;
+        if header.hd_layout_fp <> Ticktock.Snapshot.layout_fingerprint () then
+          refuse "%s: memory-layout mismatch (bundle built against a different map)" path;
+        let bu_pages : (int * string) list = Marshal.from_channel ic in
+        let bu_marks : (int * int64) array = Marshal.from_channel ic in
+        let bu_events : (int * Obs.Event.t) list = Marshal.from_channel ic in
+        { bu_header = header; bu_pages; bu_marks; bu_events }
+      with End_of_file | Failure _ -> refuse "%s: not a replay bundle (truncated)" path)
 
 let pp ppf (t : t) =
   let h = t.bu_header in

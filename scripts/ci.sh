@@ -5,6 +5,17 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Run a command that must fail with exit status exactly 1 (a typed
+# refusal), not merely non-zero.
+expect_exit_1() {
+  st=0
+  "$@" > /dev/null 2>&1 || st=$?
+  if [ "$st" != 1 ]; then
+    echo "expected exit 1, got $st: $*"
+    exit 1
+  fi
+}
+
 dune build
 dune runtest --force
 
@@ -127,6 +138,14 @@ if dune exec bin/ticktock_cli.exe -- snapshot -k ticktock-e310 --check /tmp/ci_a
   echo "snapshot: mismatched board was NOT refused"
   exit 1
 fi
+# A truncated snapshot file is refused with exit 1: 4 bytes, the 8-byte
+# magic alone, inside the header, inside the pages.
+snap_size=$(wc -c < /tmp/ci_arm.snap)
+for n in 4 8 30 $((snap_size - 1)); do
+  head -c "$n" /tmp/ci_arm.snap > /tmp/ci_snap_trunc.snap
+  expect_exit_1 dune exec bin/ticktock_cli.exe -- snapshot --info /tmp/ci_snap_trunc.snap
+  expect_exit_1 dune exec bin/ticktock_cli.exe -- snapshot -k ticktock-arm --check /tmp/ci_snap_trunc.snap
+done
 
 # Fork equivalence: every harness must be byte-identical between booting a
 # fresh board per round and forking rounds from the post-boot snapshot
@@ -322,12 +341,21 @@ dune exec bin/ticktock_cli.exe -- replay mpu /tmp/ci_replay.tickrpl -t 6 > /dev/
 dune exec bin/ticktock_cli.exe -- replay trace /tmp/ci_replay.tickrpl -o /tmp/ci_rp_trace.json
 grep -q traceEvents /tmp/ci_rp_trace.json
 
-# A corrupted bundle must be refused (exit 1), never navigated.
-head -c 64 /tmp/ci_replay.tickrpl > /tmp/ci_rp_trunc.tickrpl
-if dune exec bin/ticktock_cli.exe -- replay run /tmp/ci_rp_trunc.tickrpl 2>/dev/null; then
-  echo "replay: truncated bundle was NOT refused"
-  exit 1
-fi
+# A truncated bundle must be refused with exit 1, never navigated, by
+# every command that reads one: 4 bytes, the 7-byte magic alone, inside
+# the header, inside the body. An uncaught exception would exit 125.
+rp_size=$(wc -c < /tmp/ci_replay.tickrpl)
+for n in 4 7 40 $((rp_size / 2)) $((rp_size - 1)); do
+  head -c "$n" /tmp/ci_replay.tickrpl > /tmp/ci_rp_trunc.tickrpl
+  expect_exit_1 dune exec bin/ticktock_cli.exe -- replay info /tmp/ci_rp_trunc.tickrpl
+  expect_exit_1 dune exec bin/ticktock_cli.exe -- replay run /tmp/ci_rp_trunc.tickrpl
+done
+
+# Cross-commit compatibility: a bundle recorded by an earlier build must
+# still load, rebuild its fingerprint marks and reproduce its final
+# fingerprint (exit 0), so a change to fingerprint values or to the
+# on-disk format cannot pass unnoticed.
+dune exec bin/ticktock_cli.exe -- replay run test/expected/replay-arm-seed7.tickrpl
 
 # Failure cells come out of campaigns as bundles: the upstream crasher
 # that fuzzcov finds must auto-emit under --bundles and replay

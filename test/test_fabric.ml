@@ -227,6 +227,54 @@ let test_powerloss_target_cuts_roll_back_and_recover () =
     [ 1; 4; 7; 10 ];
   Alcotest.(check bool) "at least one cut tore the transfer" true (!rolled > 0)
 
+(* --- the reboot path keeps the flash and nothing else ---
+
+   The fsck hook runs right after the restore and before boot loading, so
+   it sees exactly what the restore left: the app flash of the moment of
+   the cut, and the pristine image everywhere else. *)
+
+let read_range mem r = Memory.read_bytes mem (Range.start r) (Range.size r)
+let sram = Range.make ~start:Layout.sram_base ~size:Layout.sram_size
+
+let test_reboot_keeps_flash () =
+  let at_fsck = ref None in
+  let probe (s : Fabric.Topology.node_spec) =
+    {
+      s with
+      Fabric.Topology.ns_fsck =
+        (fun mem ->
+          at_fsck :=
+            Some
+              ( read_range mem Layout.kernel_flash,
+                read_range mem Layout.app_flash,
+                read_range mem sram );
+          s.Fabric.Topology.ns_fsck mem);
+    }
+  in
+  let stats = Fabric.Ota.stats () in
+  let topo =
+    Fabric.Topology.create (List.map probe (Fabric.Deploy.specs ~stats ())) ~seed:7 ()
+  in
+  Fabric.Topology.run topo ~ticks:20 ~reseed_of;
+  let id = Fabric.Deploy.target in
+  let n = topo.Fabric.Topology.nodes.(id) in
+  let flash = read_range n.Fabric.Topology.nd_target.Ticktock.Snapshot.tg_mem Layout.app_flash in
+  Fabric.Topology.cut topo id ~outage:2;
+  Fabric.Topology.run topo ~ticks:2 ~reseed_of;
+  Alcotest.(check int) "the cut board rebooted" 1 n.Fabric.Topology.nd_reboots;
+  let pristine = Memory.create () in
+  Memory.restore pristine n.Fabric.Topology.nd_pristine.Ticktock.Snapshot.sn_mem;
+  match !at_fsck with
+  | None -> Alcotest.fail "the reboot ran no fsck"
+  | Some (kernel_flash, app_flash, ram) ->
+    Alcotest.(check bool) "the board had written app flash" false
+      (String.equal flash (read_range pristine Layout.app_flash));
+    Alcotest.(check bool) "app flash = its bytes at the cut" true (String.equal app_flash flash);
+    Alcotest.(check bool) "kernel flash = the pristine image" true
+      (String.equal kernel_flash (read_range pristine Layout.kernel_flash));
+    Alcotest.(check bool) "SRAM = the pristine image" true
+      (String.equal ram (read_range pristine sram))
+
 (* --- the campaign (determinism, store, metrics) --- *)
 
 let small_spec =
@@ -322,6 +370,8 @@ let suite =
       test_powerloss_cell_determinism;
     Alcotest.test_case "powerloss: target cuts roll back and recover" `Quick
       test_powerloss_target_cuts_roll_back_and_recover;
+    Alcotest.test_case "powerloss: reboot keeps flash, restores the rest" `Quick
+      test_reboot_keeps_flash;
     Alcotest.test_case "campaign: report invariant under jobs" `Quick
       test_campaign_jobs_invariance;
     Alcotest.test_case "campaign: kill + resume is byte-identical" `Quick

@@ -165,6 +165,24 @@ let test_bundle_refusals () =
            false
          with Replay.Bundle.Refused _ -> true))
 
+(* A bundle cut short anywhere is a typed refusal, never a stray
+   exception out of the channel readers. *)
+let test_bundle_truncated () =
+  let b = with_contracts (fun () -> record_cell "ticktock-arm") in
+  let path = Filename.temp_file "ticktock" ".tickrpl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Replay.Bundle.save b path;
+      let whole = In_channel.with_open_bin path In_channel.input_all in
+      List.iter
+        (fun len ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc (String.sub whole 0 len));
+          match Replay.Bundle.load path with
+          | exception Replay.Bundle.Refused _ -> ()
+          | _ -> Alcotest.failf "a %d-byte prefix of the bundle was accepted" len)
+        (Test_snapshot.truncations ~magic:Replay.Bundle.magic whole))
+
 (* Recorded sessions carry the obs ring: violation sites are inspectable
    and any tick window exports as a Chrome trace without re-execution. *)
 let test_events_and_trace () =
@@ -269,6 +287,7 @@ let suite =
       (nav_identity "ticktock-e310");
     Alcotest.test_case "bundle round-trips through disk" `Quick test_bundle_roundtrip;
     Alcotest.test_case "bundle refusals" `Quick test_bundle_refusals;
+    Alcotest.test_case "truncated bundles refused" `Quick test_bundle_truncated;
     Alcotest.test_case "events and windowed trace" `Quick test_events_and_trace;
     Alcotest.test_case "fuzzcov crasher bundle reproduces" `Quick test_fuzzcov_crasher_bundle;
     Alcotest.test_case "fabric cell bundle reproduces" `Quick test_fabric_cell_bundle;

@@ -151,21 +151,17 @@ let roundtrip rig =
       rig.rg_load "witness" witness_script;
       rig.rg_load "fuzz" (fun () -> Apps.Fuzz.random_script ~seed:7 ~steps:400);
       rig.rg_run 2;
+      let fp0 = Snapshot.fingerprint rig.rg_tgt in
       let snap = Snapshot.capture rig.rg_tgt in
-      check_fp "live fingerprint = captured fingerprint"
-        (Snapshot.captured_fingerprint snap)
-        (Snapshot.fingerprint rig.rg_tgt);
+      check_fp "capture leaves the board as it was" fp0 (Snapshot.fingerprint rig.rg_tgt);
       rig.rg_run 40;
       let fp1 = Snapshot.fingerprint rig.rg_tgt in
       let con1 = rig.rg_console () in
       let met1 = rig.rg_metrics () in
       let tr1 = rig.rg_trace () in
-      check_bool "the extra slices changed the board" true
-        (fp1 <> Snapshot.captured_fingerprint snap);
+      check_bool "the extra slices changed the board" true (fp1 <> fp0);
       Snapshot.restore rig.rg_tgt snap;
-      check_fp "restore returns to the capture point"
-        (Snapshot.captured_fingerprint snap)
-        (Snapshot.fingerprint rig.rg_tgt);
+      check_fp "restore returns to the capture point" fp0 (Snapshot.fingerprint rig.rg_tgt);
       rig.rg_run 40;
       check_fp "rerun: whole-board fingerprint" fp1 (Snapshot.fingerprint rig.rg_tgt);
       check_string "rerun: console" con1 (rig.rg_console ());
@@ -199,8 +195,8 @@ let fork_round (k : Instance.t) text =
 let test_fork_isolation () =
   let k = Boards.instance_ticktock_arm () in
   let tgt = Option.get k.Instance.snap_target in
+  let fp0 = Snapshot.fingerprint tgt in
   let snap = Snapshot.capture tgt in
-  let fp0 = Snapshot.captured_fingerprint snap in
   let pid_a, out_a = fork_round k "fork-a-was-here" in
   check_bool "fork A dirtied the board" true (Snapshot.fingerprint tgt <> fp0);
   Snapshot.restore tgt snap;
@@ -359,6 +355,31 @@ let test_file_refusals () =
       | exception Invalid_argument _ -> ()
       | () -> Alcotest.fail "expected save to refuse a board with live processes")
 
+(* Prefix lengths to cut a saved file at: 4 bytes, the magic alone,
+   mid-header, mid-pages, and every 64th byte. The layout is the magic,
+   then the marshalled header, then the marshalled pages. *)
+let truncations ~magic contents =
+  let m = String.length magic in
+  let b = Bytes.unsafe_of_string contents in
+  let header = Marshal.total_size b m in
+  let pages = Marshal.total_size b (m + header) in
+  [ 4; m; m + (header / 2); m + header + (pages / 2) ]
+  @ List.init (String.length contents / 64) (fun i -> i * 64)
+  |> List.sort_uniq compare
+
+let test_file_truncated () =
+  with_temp_snapshot (fun path ->
+      let k = Boards.instance_ticktock_arm () in
+      Snapshot.save (Option.get k.Instance.snap_target) path;
+      let whole = In_channel.with_open_bin path In_channel.input_all in
+      List.iter
+        (fun len ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc (String.sub whole 0 len));
+          match Snapshot.describe path with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "a %d-byte prefix of the snapshot file was accepted" len)
+        (truncations ~magic:Snapshot.magic whole))
+
 let suite =
   [
     Alcotest.test_case "roundtrip: ticktock-arm (v7)" `Quick test_roundtrip_arm;
@@ -372,4 +393,5 @@ let suite =
       test_restore_flushes_decision_cache;
     Alcotest.test_case "snapshot file roundtrip" `Quick test_file_roundtrip;
     Alcotest.test_case "snapshot file refusals" `Quick test_file_refusals;
+    Alcotest.test_case "truncated snapshot files refused" `Quick test_file_truncated;
   ]
