@@ -9,6 +9,7 @@
      ticktock metrics [--json]      same snapshot, text or JSON
      ticktock trace [-o FILE]       run the suite, export a Chrome trace
      ticktock chaos [-n N] [-f N]   seeded fault-injection campaign
+     ticktock fleet / fabric / fuzzcov   resumable campaigns
      ticktock snapshot ...          capture/inspect/verify board snapshots
      ticktock replay ...            record / navigate TICKRPL replay bundles
 
@@ -16,8 +17,9 @@
    `--exec boot|fork|snapshot:FILE` (fork = boot once per worker, restore
    the pristine post-boot image per cell; snapshot:FILE forks from an
    on-disk image whose versioned header is checked against the board).
-   The old --fork / --from-snapshot FILE flags remain as deprecated
-   aliases that warn on stderr. Campaign commands share one exit-code
+   fleet, fabric and fuzzcov take the shared campaign flags -j/--jobs,
+   --store, --resume and --stop-after, and record failing cells as TICKRPL
+   bundles with --bundles DIR. Campaign commands share one exit-code
    convention: 0 clean, 2 findings, 3 interrupted, 1 usage error.
 *)
 
@@ -400,60 +402,43 @@ let trace_cmd =
     Term.(const run $ board_arg $ out)
 
 let fleet_cmd =
-  let run cells boards jobs store resume stop_after bundles out =
-    try
-      let spec =
+  let run cells boards campaign bundles out =
+    Cli_common.run_campaign ~label:"fleet" ~out ~bundles campaign (fun () ->
         let d = Fleet.Campaign.default_spec in
+        let spec =
+          {
+            d with
+            Fleet.Campaign.sp_cells = cells;
+            sp_boards =
+              (match boards with
+              | None -> d.Fleet.Campaign.sp_boards
+              | Some s -> String.split_on_char ',' s |> List.filter (fun b -> b <> ""));
+          }
+        in
+        let r =
+          Verify.Violation.with_enabled true (fun () ->
+              Fleet.Campaign.run ?jobs:campaign.Cli_common.jobs ?store:campaign.store
+                ~resume:campaign.resume ?stop_after:campaign.stop_after spec)
+        in
+        let open Fleet.Campaign in
         {
-          d with
-          Fleet.Campaign.sp_cells = cells;
-          sp_boards =
-            (match boards with
-            | None -> d.Fleet.Campaign.sp_boards
-            | Some s -> String.split_on_char ',' s |> List.filter (fun b -> b <> ""));
-        }
-      in
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Verify.Violation.with_enabled true (fun () ->
-            Fleet.Campaign.run ?jobs ?store ~resume ?stop_after spec)
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      (* Throughput goes to stderr: stdout carries only the deterministic
-         report, so CI can byte-diff it across jobs settings and
-         kill/resume splits. *)
-      Printf.eprintf
-        "fleet: %d cells (%d ran, %d resumed) on %d pristine images, %d steals, %.2fs \
-         (%.0f cells/sec)\n"
-        (Array.length r.Fleet.Campaign.fl_cells)
-        r.Fleet.Campaign.fl_ran r.Fleet.Campaign.fl_resumed r.Fleet.Campaign.fl_booted
-        r.Fleet.Campaign.fl_steals dt
-        (if dt > 0. then float_of_int r.Fleet.Campaign.fl_ran /. dt else 0.);
-      if not r.Fleet.Campaign.fl_complete then Cli_common.interrupted ~label:"fleet"
-      else begin
-        (match bundles with
-        | None -> ()
-        | Some dir ->
-          let failing =
-            Array.to_list r.Fleet.Campaign.fl_cells
+          Cli_common.complete = r.fl_complete;
+          ok = r.fl_ok;
+          report = r.fl_report;
+          summary =
+            Printf.sprintf "%d cells (%d ran, %d resumed) on %d pristine images, %d steals"
+              (Array.length r.fl_cells) r.fl_ran r.fl_resumed r.fl_booted r.fl_steals;
+          executed = r.fl_ran;
+          rate_unit = "cells";
+          failing =
+            Array.to_list r.fl_cells
             |> List.filter_map (function
-                 | Some (c : Fleet.Campaign.cell)
-                   when c.Fleet.Campaign.cl_panic
-                        || not
-                             (c.Fleet.Campaign.cl_witness_ok
-                             && c.Fleet.Campaign.cl_isolation_ok) ->
+                 | Some c when c.cl_panic || not (c.cl_witness_ok && c.cl_isolation_ok) ->
                    Some
-                     ( Printf.sprintf "fleet-cell-%d" c.Fleet.Campaign.cl_index,
+                     ( Printf.sprintf "fleet-cell-%d" c.cl_index,
                        fun () -> Replay.Record.of_fleet_cell spec c )
-                 | _ -> None)
-          in
-          Cli_common.write_bundles ~label:"fleet" ~dir failing);
-        Cli_common.finish ~label:"fleet" ~ok:r.Fleet.Campaign.fl_ok ~out
-          r.Fleet.Campaign.fl_report
-      end
-    with
-    | Invalid_argument m | Failure m -> Cli_common.usage_error m
-    | Fleet.Store.Refused m -> Cli_common.usage_error m
+                 | _ -> None);
+        })
   in
   let cells =
     Arg.(
@@ -467,94 +452,55 @@ let fleet_cmd =
       & info [ "boards" ] ~docv:"B1,B2"
           ~doc:"Comma-separated verified boards to schedule (default: arm, arm-v8, e310).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains (default: $(b,TICKTOCK_JOBS) or the host core count).")
-  in
-  let store =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"FILE"
-          ~doc:"Persist completed cells to $(docv) (versioned, append-only, resumable).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:"Recover committed cells from $(b,--store) and run only the rest.")
-  in
-  let stop_after =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "stop-after" ] ~docv:"N"
-          ~doc:
-            "Stop dispatching after about $(docv) new cells (deterministic kill, for \
-             resumability testing).")
-  in
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
          "Fleet-scale campaign: snapshot-fork thousands of board-instances across a \
           work-stealing domain pool")
     Term.(
-      const run $ cells $ boards $ jobs $ store $ resume $ stop_after $ Cli_common.bundles_arg
-      $ Cli_common.out_arg)
+      const run $ cells $ boards
+      $ Cli_common.campaign_term ~units:"cells"
+      $ Cli_common.bundles_arg $ Cli_common.out_arg)
 
 let fabric_cmd =
-  let run plans cuts horizon jobs store resume stop_after bundles out =
-    try
-      let spec =
+  let run plans cuts horizon campaign bundles out =
+    Cli_common.run_campaign ~label:"fabric" ~out ~bundles campaign (fun () ->
         let d = Fabric.Campaign.default_spec in
+        let spec =
+          {
+            d with
+            Fabric.Campaign.fb_cuts = cuts;
+            fb_horizon = horizon;
+            fb_plans =
+              (match plans with
+              | None -> d.Fabric.Campaign.fb_plans
+              | Some s -> String.split_on_char ',' s |> List.filter (fun p -> p <> ""));
+          }
+        in
+        let r =
+          Verify.Violation.with_enabled true (fun () ->
+              Fabric.Campaign.run ?jobs:campaign.Cli_common.jobs ?store:campaign.store
+                ~resume:campaign.resume ?stop_after:campaign.stop_after spec)
+        in
+        let open Fabric.Campaign in
         {
-          d with
-          Fabric.Campaign.fb_cuts = cuts;
-          fb_horizon = horizon;
-          fb_plans =
-            (match plans with
-            | None -> d.Fabric.Campaign.fb_plans
-            | Some s -> String.split_on_char ',' s |> List.filter (fun p -> p <> ""));
-        }
-      in
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Verify.Violation.with_enabled true (fun () ->
-            Fabric.Campaign.run ?jobs ?store ~resume ?stop_after spec)
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      (* stdout carries only the deterministic report; throughput and
-         progress go to stderr so CI can byte-diff stdout across jobs
-         settings and kill/resume splits *)
-      Printf.eprintf
-        "fabric: %d cut points (%d ran, %d resumed), %d steals, %.2fs (%.1f cells/sec)\n"
-        (Array.length r.Fabric.Campaign.fb_cells)
-        r.Fabric.Campaign.fb_ran r.Fabric.Campaign.fb_resumed r.Fabric.Campaign.fb_steals dt
-        (if dt > 0. then float_of_int r.Fabric.Campaign.fb_ran /. dt else 0.);
-      if not r.Fabric.Campaign.fb_complete then Cli_common.interrupted ~label:"fabric"
-      else begin
-        (match bundles with
-        | None -> ()
-        | Some dir ->
-          let failing =
-            Array.to_list r.Fabric.Campaign.fb_cells
+          Cli_common.complete = r.fb_complete;
+          ok = r.fb_ok;
+          report = r.fb_report;
+          summary =
+            Printf.sprintf "%d cut points (%d ran, %d resumed), %d steals"
+              (Array.length r.fb_cells) r.fb_ran r.fb_resumed r.fb_steals;
+          executed = r.fb_ran;
+          rate_unit = "cells";
+          failing =
+            Array.to_list r.fb_cells
             |> List.filter_map (function
-                 | Some (c : Fabric.Campaign.cell) when not c.Fabric.Campaign.fc_ok ->
+                 | Some c when not c.fc_ok ->
                    Some
-                     ( Printf.sprintf "fabric-cell-%d" c.Fabric.Campaign.fc_index,
+                     ( Printf.sprintf "fabric-cell-%d" c.fc_index,
                        fun () -> Replay.Record.of_fabric_cell spec c )
-                 | _ -> None)
-          in
-          Cli_common.write_bundles ~label:"fabric" ~dir failing);
-        Cli_common.finish ~label:"fabric" ~ok:r.Fabric.Campaign.fb_ok ~out
-          r.Fabric.Campaign.fb_report
-      end
-    with
-    | Invalid_argument m | Failure m -> Cli_common.usage_error m
-    | Fleet.Store.Refused m -> Cli_common.usage_error m
+                 | _ -> None);
+        })
   in
   let plans =
     Arg.(
@@ -573,66 +519,19 @@ let fabric_cmd =
       value & opt int 64
       & info [ "horizon" ] ~docv:"T" ~doc:"Global ticks per cell (must exceed the last cut).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains (default: $(b,TICKTOCK_JOBS) or the host core count).")
-  in
-  let store =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"FILE"
-          ~doc:"Persist completed cells to $(docv) (versioned, append-only, resumable).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:"Recover committed cells from $(b,--store) and run only the rest.")
-  in
-  let stop_after =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "stop-after" ] ~docv:"N"
-          ~doc:
-            "Stop dispatching after about $(docv) new cells (deterministic kill, for \
-             resumability testing).")
-  in
   Cmd.v
     (Cmd.info "fabric"
        ~doc:
          "Multi-board fabric campaign: OTA updates and gateway traffic under link faults, \
           with a power cut at every tick, classified for cross-board containment")
     Term.(
-      const run $ plans $ cuts $ horizon $ jobs $ store $ resume $ stop_after
+      const run $ plans $ cuts $ horizon
+      $ Cli_common.campaign_term ~units:"cells"
       $ Cli_common.bundles_arg $ Cli_common.out_arg)
 
 let fuzzcov_cmd =
-  let run board seed pop gens jobs store resume stop_after bundle bundles replay out =
-    try
-      match replay with
-      | Some path -> (
-        (* replay mode: reproduce a crasher bundle, ignore campaign flags *)
-        match Fuzzcov.Engine.read_bundle path with
-        | None ->
-          Printf.eprintf "fuzzcov: %s is not a crasher bundle\n" path;
-          1
-        | Some b ->
-          let reproduced, observed = Fuzzcov.Engine.replay b in
-          Printf.printf "bundle: board %s  class %s  site %S\n" b.Fuzzcov.Engine.bu_board
-            (Verify.Taxonomy.name b.Fuzzcov.Engine.bu_class)
-            b.Fuzzcov.Engine.bu_site;
-          (match observed with
-          | Some (cls, site) ->
-            Printf.printf "replay: crashed as %s at %S — %s\n" (Verify.Taxonomy.name cls) site
-              (if reproduced then "reproduced" else "DIFFERENT CRASH")
-          | None -> Printf.printf "replay: no crash — NOT reproduced\n");
-          if reproduced then 0 else 2)
-      | None ->
+  let run board seed pop gens campaign bundles out =
+    Cli_common.run_campaign ~label:"fuzzcov" ~out ~bundles campaign (fun () ->
         let spec =
           {
             Fuzzcov.Engine.default_spec with
@@ -642,46 +541,26 @@ let fuzzcov_cmd =
             fc_gens = gens;
           }
         in
-        let t0 = Unix.gettimeofday () in
-        let r = Fuzzcov.Engine.run ?jobs ?store ~resume ?stop_after spec in
-        let dt = Unix.gettimeofday () -. t0 in
-        (* Throughput goes to stderr: stdout carries only the deterministic
-           report, so CI can byte-diff it across jobs settings and
-           kill/resume splits. *)
-        Printf.eprintf
-          "fuzzcov: %d execs (%d gens ran, %d resumed), %d corpus, %d buckets, %.2fs (%.0f \
-           execs/sec)\n"
-          r.Fuzzcov.Engine.fz_execs r.Fuzzcov.Engine.fz_ran_gens r.Fuzzcov.Engine.fz_resumed_gens
-          (List.length r.Fuzzcov.Engine.fz_corpus)
-          r.Fuzzcov.Engine.fz_bits dt
-          (if dt > 0. then
-             float_of_int (r.Fuzzcov.Engine.fz_ran_gens * spec.Fuzzcov.Engine.fc_pop) /. dt
-           else 0.);
-        if not r.Fuzzcov.Engine.fz_complete then Cli_common.interrupted ~label:"fuzzcov"
-        else begin
-          (match (bundle, r.Fuzzcov.Engine.fz_crashers) with
-          | Some path, c :: _ ->
-            Fuzzcov.Engine.write_bundle path (Fuzzcov.Engine.bundle_of_crasher ~board c);
-            Printf.eprintf "fuzzcov: wrote first crasher to %s\n" path
-          | Some _, [] -> Printf.eprintf "fuzzcov: no crashers, no bundle written\n"
-          | None, _ -> ());
-          (match bundles with
-          | None -> ()
-          | Some dir ->
-            let crashers =
-              List.mapi
-                (fun i (c : Fuzzcov.Engine.crasher) ->
-                  ( Printf.sprintf "fuzzcov-crasher-%d" i,
-                    fun () -> Replay.Record.of_fuzzcov spec c ))
-                r.Fuzzcov.Engine.fz_crashers
-            in
-            Cli_common.write_bundles ~label:"fuzzcov" ~dir crashers);
-          Cli_common.finish ~label:"fuzzcov" ~ok:r.Fuzzcov.Engine.fz_ok ~out
-            r.Fuzzcov.Engine.fz_report
-        end
-    with
-    | Invalid_argument m | Failure m -> Cli_common.usage_error m
-    | Fleet.Store.Refused m -> Cli_common.usage_error m
+        let r =
+          Fuzzcov.Engine.run ?jobs:campaign.Cli_common.jobs ?store:campaign.store
+            ~resume:campaign.resume ?stop_after:campaign.stop_after spec
+        in
+        let open Fuzzcov.Engine in
+        {
+          Cli_common.complete = r.fz_complete;
+          ok = r.fz_ok;
+          report = r.fz_report;
+          summary =
+            Printf.sprintf "%d execs (%d gens ran, %d resumed), %d corpus, %d buckets" r.fz_execs
+              r.fz_ran_gens r.fz_resumed_gens (List.length r.fz_corpus) r.fz_bits;
+          executed = r.fz_ran_gens * spec.fc_pop;
+          rate_unit = "execs";
+          failing =
+            List.mapi
+              (fun i c ->
+                (Printf.sprintf "fuzzcov-crasher-%d" i, fun () -> Replay.Record.of_fuzzcov spec c))
+              r.fz_crashers;
+        })
   in
   let board =
     Arg.(
@@ -705,57 +584,15 @@ let fuzzcov_cmd =
       value & opt int Fuzzcov.Engine.default_spec.Fuzzcov.Engine.fc_gens
       & info [ "g"; "gens" ] ~docv:"N" ~doc:"Generations to evolve.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains (default: $(b,TICKTOCK_JOBS) or the host core count).")
-  in
-  let store =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"FILE"
-          ~doc:"Persist completed generations to $(docv) (versioned, append-only, resumable).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:"Recover committed generations from $(b,--store) and run only the rest.")
-  in
-  let stop_after =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "stop-after" ] ~docv:"N"
-          ~doc:
-            "Stop after $(docv) newly executed generations (deterministic kill, for \
-             resumability testing).")
-  in
-  let bundle =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bundle" ] ~docv:"FILE"
-          ~doc:"Write the first crasher as a replayable bundle to $(docv).")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:"Replay a crasher bundle written by $(b,--bundle) and verify it reproduces.")
-  in
   Cmd.v
     (Cmd.info "fuzzcov"
        ~doc:
          "Coverage-guided fuzzing: evolve syscall/interrupt schedules against the icache \
           coverage map, triage crashers, emit replayable bundles")
     Term.(
-      const run $ board $ seed $ pop $ gens $ jobs $ store $ resume $ stop_after $ bundle
-      $ Cli_common.bundles_arg $ replay $ Cli_common.out_arg)
+      const run $ board $ seed $ pop $ gens
+      $ Cli_common.campaign_term ~units:"generations"
+      $ Cli_common.bundles_arg $ Cli_common.out_arg)
 
 (* --- ticktock replay: record and navigate TICKRPL bundles --- *)
 

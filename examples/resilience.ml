@@ -7,7 +7,8 @@
    - `stop`   stays quarantined (the default),
    - `phoenix` is restarted with re-zeroed memory and recovers,
    - a `panic` process would halt the whole board (demonstrated last,
-     caught). The kernel trace shows the scheduler's view of all of it. *)
+     caught). The kernel's event recorder (Obs.Recorder) shows the
+     scheduler's view of all of it. *)
 
 open Ticktock
 open Apps.App_dsl
@@ -29,10 +30,10 @@ let crashing_script () =
 
 let () =
   let m = Machine.create_arm () in
-  let trace = Trace.create ~capacity:128 () in
+  let obs = Obs.Recorder.create () in
   let k =
     K.create ~mem:m.Machine.arm_mem ~hw:m.Machine.arm_mpu
-      ~switcher:(Kernel.Arm_switch m.Machine.arm_cpu) ~systick:m.Machine.arm_systick ~trace ()
+      ~switcher:(Kernel.Arm_switch m.Machine.arm_cpu) ~systick:m.Machine.arm_systick ~obs ()
   in
   let create name ?fault_policy ?program_factory program =
     Result.get_ok
@@ -61,7 +62,7 @@ let () =
     [ stopper; phoenix ];
 
   print_endline "\n--- kernel trace ---";
-  print_string (Trace.to_string trace);
+  print_string (Obs.Recorder.to_string obs);
 
   print_endline "--- kernel console (status dumps) ---";
   print_string (K.console_output k);

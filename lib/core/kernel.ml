@@ -59,7 +59,6 @@ module Make (MM : Mm.S) = struct
     mutable capsules_initialized : bool;
     sched : sched;
     syscall_filter : (int -> Userland.call -> bool) option;
-    trace : Trace.t option;
     systick : Mpu_hw.Systick.t option;
         (** when present (ARM boards), the scheduling quantum is driven by
             the modeled SysTick countdown over consumed cycles instead of
@@ -102,7 +101,7 @@ module Make (MM : Mm.S) = struct
     | Userland.Memop _ -> 5
 
   let create ~mem ~hw ~switcher ?(quantum = 64) ?(capsules = []) ?(sched = Round_robin)
-      ?syscall_filter ?trace ?systick ?obs ?chaos ?(scrub_every = 0)
+      ?syscall_filter ?systick ?obs ?chaos ?(scrub_every = 0)
       ?(scrub_policy = `Repair) ?(watchdog = 0) ?(restart_decay_span = 0) () =
     let metrics = Obs.Metrics.create () in
     let t =
@@ -122,7 +121,6 @@ module Make (MM : Mm.S) = struct
         capsules_initialized = false;
         sched;
         syscall_filter;
-        trace;
         systick;
         obs;
         metrics;
@@ -139,9 +137,6 @@ module Make (MM : Mm.S) = struct
     in
     List.iter (fun (c : Capsule_intf.t) -> Hashtbl.replace t.capsules c.driver_num c) capsules;
     t
-
-  let trace_event t event =
-    match t.trace with None -> () | Some tr -> Trace.record tr ~tick:t.ticks event
 
   (* Call sites match on [t.obs] themselves so a disabled kernel never even
      constructs the event value. *)
@@ -260,7 +255,6 @@ module Make (MM : Mm.S) = struct
     in
     t.next_pid <- t.next_pid + 1;
     t.procs <- t.procs @ [ proc ];
-    trace_event t (Trace.Created { pid = proc.Process.pid; pname = name });
     (match t.obs with
     | None -> ()
     | Some r ->
@@ -348,7 +342,6 @@ module Make (MM : Mm.S) = struct
   let schedule_upcall ?t (proc : proc) ~upcall_id ~arg =
     (match t with
     | Some t ->
-      trace_event t (Trace.Upcall { pid = proc.Process.pid; upcall_id; arg });
       (match t.obs with
       | None -> ()
       | Some r ->
@@ -792,7 +785,6 @@ module Make (MM : Mm.S) = struct
     proc.alarm_at <- None;
     Queue.clear proc.pending_upcalls;
     proc.state <- Process.Ready;
-    trace_event t (Trace.Restarted proc.Process.pid);
     Obs.Metrics.incr t.metrics "kernel/restarts";
     (match t.obs with
     | None -> ()
@@ -801,7 +793,6 @@ module Make (MM : Mm.S) = struct
     log_console t (Printf.sprintf "process %s restarted (attempt %d)" proc.name proc.restarts)
 
   let handle_fault t (proc : proc) msg =
-    trace_event t (Trace.Faulted { pid = proc.Process.pid; reason = msg });
     Obs.Metrics.incr t.metrics "kernel/faults";
     (match t.obs with
     | None -> ()
@@ -932,7 +923,6 @@ module Make (MM : Mm.S) = struct
     | Slice_syscall _ | Slice_quantum | Slice_exit _ | Slice_fault _ -> slice
 
   let step_process t (proc : proc) =
-    trace_event t (Trace.Scheduled proc.Process.pid);
     (match t.obs with
     | None -> ()
     | Some r ->
@@ -952,7 +942,6 @@ module Make (MM : Mm.S) = struct
       Obs.Metrics.incr t.metrics "kernel/syscalls";
       let result, latency = Cycles.measure Cycles.global (fun () -> handle_syscall t proc call) in
       Obs.Metrics.observe t.syscall_hists.(syscall_kind call) latency;
-      trace_event t (Trace.Syscall { pid = proc.Process.pid; call; result });
       (match t.obs with
       | None -> ()
       | Some r ->
@@ -963,7 +952,6 @@ module Make (MM : Mm.S) = struct
     | Slice_quantum -> ()
     | Slice_exit code ->
       proc.state <- Process.Exited code;
-      trace_event t (Trace.Exited { pid = proc.Process.pid; code });
       (match t.obs with
       | None -> ()
       | Some r ->
@@ -1178,7 +1166,7 @@ module Make (MM : Mm.S) = struct
      component) ---
 
      Everything restores {e in place}: the same [proc] records, the same
-     allocator objects, the same hooks/metrics/recorder/trace structures —
+     allocator objects, the same hooks/metrics/recorder structures —
      so process handles held inside capsule state (alarm queues, button
      listeners) remain valid across a restore, and the capsules' own state
      rides along through their [cap_snapshot] hooks. Programs are
@@ -1223,7 +1211,6 @@ module Make (MM : Mm.S) = struct
     k_hooks : (string * int * int) list;
     k_metrics : Obs.Metrics.captured;
     k_obs : Obs.Recorder.captured option;
-    k_trace : (Trace.entry option array * int) option;
     k_capsules : (string * (unit -> unit)) list;  (** capsule restore thunks *)
     k_chaos : (int option * int) option;  (** (ch_mpu_injected_at, ch_injected) *)
     k_cycles : int;  (** the global model-cycle counter *)
@@ -1307,7 +1294,6 @@ module Make (MM : Mm.S) = struct
       k_hooks = Hooks.capture t.hooks;
       k_metrics = Obs.Metrics.capture t.metrics;
       k_obs = Option.map Obs.Recorder.capture t.obs;
-      k_trace = Option.map Trace.capture t.trace;
       k_capsules =
         Hashtbl.fold
           (fun _ (c : Capsule_intf.t) acc ->
@@ -1341,9 +1327,6 @@ module Make (MM : Mm.S) = struct
     Obs.Metrics.restore t.metrics s.k_metrics;
     (match (t.obs, s.k_obs) with
     | Some r, Some c -> Obs.Recorder.restore r c
-    | (Some _ | None), _ -> ());
-    (match (t.trace, s.k_trace) with
-    | Some tr, Some c -> Trace.restore tr c
     | (Some _ | None), _ -> ());
     List.iter (fun (_, thunk) -> thunk ()) s.k_capsules;
     (match (t.chaos, s.k_chaos) with

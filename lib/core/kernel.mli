@@ -9,7 +9,8 @@
     process runs until it syscalls, faults, exits or exhausts its quantum
     (SysTick-driven preemption on the ARM boards). Capsules extend the
     driver space behind mediated process handles; fault policies decide
-    what a fault costs; every scheduler-visible event can be traced. *)
+    what a fault costs; every scheduler-visible event can be recorded
+    into an {!Obs.Recorder} attached with [?obs]. *)
 
 (** Scheduling policy — the subset of Tock's scheduler zoo we model.
     [Round_robin] gives every runnable process one quantum-bounded slice per
@@ -48,7 +49,6 @@ module Make (MM : Mm.S) : sig
     ?capsules:Capsule_intf.t list ->
     ?sched:sched ->
     ?syscall_filter:(int -> Userland.call -> bool) ->
-    ?trace:Trace.t ->
     ?systick:Mpu_hw.Systick.t ->
     ?obs:Obs.Recorder.t ->
     ?chaos:Chaos_intf.t ->

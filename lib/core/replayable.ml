@@ -6,8 +6,7 @@
 
     - {!Exec}: the one parsed spelling of "how should a campaign obtain a
       board per cell" — boot fresh, fork a cached pristine image, or fork a
-      pristine image overlaid from an on-disk snapshot. Replaces the
-      divergent [--fork] / [--from-snapshot] / [~mode:`Boot|`Fork] booleans.
+      pristine image overlaid from an on-disk snapshot.
     - {!Runner}: the single fork-per-cell code path implementing an
       {!Exec.spec} on top of {!Snapshot.Registry}, so every harness shares
       one boot-once/restore-per-cell implementation instead of six.
@@ -46,21 +45,6 @@ module Exec = struct
       | _ ->
         Error
           (Printf.sprintf "bad execution spec %S (expected boot | fork | snapshot:FILE)" s))
-
-  (** Resolve the new [--exec] spec against the deprecated [--fork] /
-      [--from-snapshot] aliases. The aliases still work — each prints a
-      deprecation warning through [warn] (stderr by default) — but an
-      explicit [--exec] wins over both. *)
-  let of_flags ?(warn = fun m -> prerr_endline ("warning: " ^ m)) ~fork ~from_snapshot exec =
-    match exec with
-    | Some s -> parse s
-    | None ->
-      if from_snapshot <> None then
-        warn "--from-snapshot is deprecated; use --exec snapshot:FILE";
-      if fork then warn "--fork is deprecated; use --exec fork";
-      (match from_snapshot with
-      | Some p -> Ok (Snapshot_file p)
-      | None -> Ok (if fork then Fork else Boot))
 end
 
 (* --- the shared fork-per-cell runner --- *)

@@ -5,8 +5,8 @@
     one classified power-loss experiment ({!Powerloss.run_cell}). Cells
     are pure functions of their index, so the report is byte-identical
     across [TICKTOCK_JOBS] settings and kill/resume splits — the same
-    contract as the fleet, chaos, and fuzzcov campaigns, on the same
-    {!Pool} and {!Fleet.Store} machinery.
+    contract as the fleet, chaos, and fuzzcov campaigns; the cells run
+    through the fleet's resumable-campaign driver ({!Fleet.Driver}).
 
     The report leads with the {e golden} run (clean link, no cut): the
     classifier's baseline, and a self-check that the deployment itself
@@ -14,8 +14,6 @@
     verdict line the CI gates on is the silent-corruption count summed
     over every injected cell: the link's shadow-payload oracle must have
     caught zero CRC-passing corrupted frames anywhere in the lattice. *)
-
-open Ticktock
 
 type spec = {
   fb_plans : string list;  (** {!Powerloss.plans} names, in report order *)
@@ -107,18 +105,31 @@ let cell_coords s =
 
 (* --- the deterministic report --- *)
 
+(* Distinct readings the golden run delivered, and how many it should. *)
+let golden_readings (golden : Deploy.outcome) =
+  ( List.fold_left (fun a (_, got) -> a + List.length (List.sort_uniq compare got)) 0
+      golden.Deploy.oc_got,
+    2 * List.length Deploy.readings )
+
+(* The campaign verdict, for the report's last line and {!run}'s [fb_ok]:
+   every cut point classified and contained, no silent corruption, and a
+   golden run that delivered everything and committed the OTA. *)
+let verdict (golden : Deploy.outcome) (gstats : Ota.stats) (cells : cell array) =
+  let greadings, gfull = golden_readings golden in
+  Array.for_all
+    (fun c ->
+      List.mem c.fc_class [ "completed"; "rolled-back"; "recovered" ] && c.fc_ok
+      && c.fc_silent = 0)
+    cells
+  && greadings = gfull && gstats.Ota.ot_commits > 0 && golden.Deploy.oc_isolation_ok
+  && golden.Deploy.oc_silent = 0
+
 let render spec (golden : Deploy.outcome) (gstats : Ota.stats) (cells : cell array) =
   let b = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "# ticktock fabric campaign\n";
   pf "# %s\n\n" (spec_key spec);
-  let greadings =
-    List.fold_left
-      (fun a (_, got) ->
-        a + List.length (List.sort_uniq compare got))
-      0 golden.Deploy.oc_got
-  in
-  let gfull = 2 * List.length Deploy.readings in
+  let greadings, gfull = golden_readings golden in
   pf "golden: readings %d/%d  ota %s  isolation %s  silent %d\n\n" greadings gfull
     (if gstats.Ota.ot_commits > 0 then "committed" else "NOT-COMMITTED")
     (if golden.Deploy.oc_isolation_ok then "ok" else "VIOLATED")
@@ -155,12 +166,7 @@ let render spec (golden : Deploy.outcome) (gstats : Ota.stats) (cells : cell arr
      failures);
   pf "silent cross-board corruption: %d%s\n" silent
     (if silent = 0 then " (zero — every corrupted frame was caught)" else " (VIOLATION)");
-  let golden_ok =
-    greadings = gfull && gstats.Ota.ot_commits > 0 && golden.Deploy.oc_isolation_ok
-    && golden.Deploy.oc_silent = 0
-  in
-  pf "campaign: %s\n"
-    (if classified = total && ok = total && silent = 0 && golden_ok then "ok" else "FAILED");
+  pf "campaign: %s\n" (if verdict golden gstats cells then "ok" else "FAILED");
   Buffer.contents b
 
 (* --- the campaign --- *)
@@ -180,31 +186,9 @@ type result = {
     [store] + [resume] make it resumable; [stop_after] is the
     deterministic kill for CI resumability checks; the report is rendered
     only when every cell is accounted for. *)
-let run ?jobs ?(batch = 4) ?store ?(resume = false) ?stop_after (spec : spec) =
+let run ?jobs ?(batch = 4) ?store ?resume ?stop_after (spec : spec) =
   let key = spec_key spec in
   let coords = cell_coords spec in
-  let total = cell_count spec in
-  let st, recovered =
-    match store with
-    | None -> (None, [])
-    | Some path ->
-      if resume then
-        let t, recs = Fleet.Store.resume ~path ~spec:key in
-        (Some t, recs)
-      else (Some (Fleet.Store.create ~path ~spec:key), [])
-  in
-  let cells : cell option array = Array.make total None in
-  List.iter
-    (fun (r : Fleet.Store.record) ->
-      if r.Fleet.Store.rc_index >= 0 && r.Fleet.Store.rc_index < total then
-        match decode_cell r.Fleet.Store.rc_data with
-        | Some c when c.fc_index = r.Fleet.Store.rc_index -> cells.(r.Fleet.Store.rc_index) <- Some c
-        | _ -> ())
-    recovered;
-  let resumed = Array.fold_left (fun a -> function Some _ -> a + 1 | None -> a) 0 cells in
-  if resumed > 0 then Obs.Metrics.host_incr ~by:resumed "fabric/resume_cells";
-  let ran = Atomic.make 0 in
-  let stop () = match stop_after with Some n -> Atomic.get ran >= n | None -> false in
   (* per-worker state: one deployment environment per plan, built on first
      use on that worker's own domain and forked for every later cell *)
   let init _w : (string, Powerloss.env) Hashtbl.t = Hashtbl.create 4 in
@@ -227,7 +211,6 @@ let run ?jobs ?(batch = 4) ?store ?(resume = false) ?stop_after (spec : spec) =
     in
     Obs.Metrics.host_incr "fabric/cells_run";
     Obs.Metrics.host_incr "fabric/topologies_forked";
-    Atomic.incr ran;
     {
       fc_index = i;
       fc_plan = c.Powerloss.pc_plan;
@@ -244,46 +227,28 @@ let run ?jobs ?(batch = 4) ?store ?(resume = false) ?stop_after (spec : spec) =
       fc_fp = c.Powerloss.pc_fp;
     }
   in
-  let commit i (c : cell) =
-    match st with
-    | None -> ()
-    | Some t -> Fleet.Store.append t ~index:i ~data:(encode_cell c)
+  let d =
+    Fleet.Driver.run ?jobs ~batch ?store ?resume ?stop_after ~spec:key ~total:(cell_count spec)
+      ~encode:encode_cell ~decode:decode_cell ~index:(fun c -> c.fc_index) ~init ~cell ()
   in
-  let results, pstats =
-    Pool.run ?jobs ~batch ~cells:total
-      ~skip:(fun i -> cells.(i) <> None || stop ())
-      ~commit ~init ~cell ()
-  in
-  Array.iteri (fun i r -> match r with Some c -> cells.(i) <- Some c | None -> ()) results;
-  (match st with Some t -> Fleet.Store.close t | None -> ());
-  if pstats.Pool.ps_steals > 0 then
-    Obs.Metrics.host_incr ~by:pstats.Pool.ps_steals "fabric/steals";
-  let complete = Array.for_all Option.is_some cells in
-  let report =
-    if complete then begin
+  let open Fleet.Driver in
+  if d.resumed > 0 then Obs.Metrics.host_incr ~by:d.resumed "fabric/resume_cells";
+  if d.steals > 0 then Obs.Metrics.host_incr ~by:d.steals "fabric/steals";
+  let report, ok =
+    if not d.complete then ("", false)
+    else begin
       let golden, gstats = Powerloss.golden ~seed:spec.fb_seed ~horizon:spec.fb_horizon in
-      render spec golden gstats (Array.map (function Some c -> c | None -> assert false) cells)
+      let cells = Array.map Option.get d.cells in
+      (render spec golden gstats cells, verdict golden gstats cells)
     end
-    else ""
-  in
-  let ok =
-    complete
-    && Array.for_all (function Some c -> c.fc_ok && c.fc_silent = 0 | None -> false) cells
-    && String.length report > 0
-    &&
-    (* the verdict line is the single source of truth *)
-    let rec contains i =
-      i + 12 <= String.length report && (String.sub report i 12 = "campaign: ok" || contains (i + 1))
-    in
-    contains 0
   in
   {
     fb_spec = spec;
-    fb_cells = cells;
-    fb_complete = complete;
+    fb_cells = d.cells;
+    fb_complete = d.complete;
     fb_report = report;
     fb_ok = ok;
-    fb_ran = Atomic.get ran;
-    fb_resumed = resumed;
-    fb_steals = pstats.Pool.ps_steals;
+    fb_ran = d.ran;
+    fb_resumed = d.resumed;
+    fb_steals = d.steals;
   }

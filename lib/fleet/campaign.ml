@@ -216,31 +216,9 @@ type result = {
 
     The report is rendered only when every cell is accounted for, and is
     byte-identical across jobs settings and kill/resume splits. *)
-let run ?jobs ?(batch = 32) ?store ?(resume = false) ?stop_after (spec : spec) =
+let run ?jobs ?(batch = 32) ?store ?resume ?stop_after (spec : spec) =
   let coords = cell_coords spec in
-  let key = spec_key spec in
-  let st, recovered =
-    match store with
-    | None -> (None, [])
-    | Some path ->
-      if resume then
-        let t, recs = Store.resume ~path ~spec:key in
-        (Some t, recs)
-      else (Some (Store.create ~path ~spec:key), [])
-  in
-  let cells : cell option array = Array.make spec.sp_cells None in
-  List.iter
-    (fun (r : Store.record) ->
-      if r.Store.rc_index >= 0 && r.Store.rc_index < spec.sp_cells then
-        match decode_cell r.Store.rc_data with
-        | Some c when c.cl_index = r.Store.rc_index -> cells.(r.Store.rc_index) <- Some c
-        | _ -> ())
-    recovered;
-  let resumed = Array.fold_left (fun a -> function Some _ -> a + 1 | None -> a) 0 cells in
-  if resumed > 0 then Obs.Metrics.host_incr ~by:resumed "fleet/resume_rounds";
-  let ran = Atomic.make 0 in
   let booted = Atomic.make 0 in
-  let stop () = match stop_after with Some n -> Atomic.get ran >= n | None -> false in
   (* One shared runner per worker, always in forked execution: the fleet's
      whole point is boot-once-per-board, fork-per-cell. *)
   let init _w = Replayable.Runner.create ~exec:Replayable.Exec.Fork () in
@@ -259,7 +237,6 @@ let run ?jobs ?(batch = 32) ?store ?(resume = false) ?stop_after (spec : spec) =
     in
     Obs.Metrics.host_incr "fleet/boards_forked";
     Obs.Metrics.host_incr "fleet/cells_run";
-    Atomic.incr ran;
     {
       cl_index = i;
       cl_board = bname;
@@ -272,38 +249,25 @@ let run ?jobs ?(batch = 32) ?store ?(resume = false) ?stop_after (spec : spec) =
       cl_exited = outcome.Apps.Fuzz.fuzzers_exited;
     }
   in
-  let commit i (c : cell) =
-    match st with None -> () | Some t -> Store.append t ~index:i ~data:(encode_cell c)
+  let d =
+    Driver.run ?jobs ~batch ?store ?resume ?stop_after ~spec:(spec_key spec)
+      ~total:spec.sp_cells ~encode:encode_cell ~decode:decode_cell
+      ~index:(fun c -> c.cl_index) ~init ~cell ()
   in
-  let results, pstats =
-    Pool.run ?jobs ~batch ~cells:spec.sp_cells
-      ~skip:(fun i -> cells.(i) <> None || stop ())
-      ~commit ~init ~cell ()
-  in
-  Array.iteri (fun i r -> match r with Some c -> cells.(i) <- Some c | None -> ()) results;
-  (match st with Some t -> Store.close t | None -> ());
-  if pstats.Pool.ps_steals > 0 then
-    Obs.Metrics.host_incr ~by:pstats.Pool.ps_steals "fleet/steals";
-  let complete = Array.for_all Option.is_some cells in
-  let done_cells = Array.map (function Some c -> c | None -> assert false) in
-  let report = if complete then render spec (done_cells cells) else "" in
-  let ok =
-    complete
-    && Array.for_all
-         (function
-           | Some c -> c.cl_witness_ok && c.cl_isolation_ok && not c.cl_panic
-           | None -> false)
-         cells
-  in
+  let open Driver in
+  if d.resumed > 0 then Obs.Metrics.host_incr ~by:d.resumed "fleet/resume_rounds";
+  if d.steals > 0 then Obs.Metrics.host_incr ~by:d.steals "fleet/steals";
+  let cells = if d.complete then Array.map Option.get d.cells else [||] in
+  let ok c = c.cl_witness_ok && c.cl_isolation_ok && not c.cl_panic in
   {
     fl_spec = spec;
-    fl_cells = cells;
-    fl_complete = complete;
-    fl_report = report;
-    fl_ok = ok;
-    fl_ran = Atomic.get ran;
-    fl_resumed = resumed;
+    fl_cells = d.cells;
+    fl_complete = d.complete;
+    fl_report = (if d.complete then render spec cells else "");
+    fl_ok = d.complete && Array.for_all ok cells;
+    fl_ran = d.ran;
+    fl_resumed = d.resumed;
     fl_booted = Atomic.get booted;
-    fl_forked = Atomic.get ran;
-    fl_steals = pstats.Pool.ps_steals;
+    fl_forked = d.ran;
+    fl_steals = d.steals;
   }

@@ -12,18 +12,19 @@
       the pool evaluates them in any order but the results array is
       index-ordered, and corpus/virgin-map updates are merged strictly in
       slot order after the barrier;
-    - {e across kill/resume}: the store (TICKFLT framing, reused from
-      {!Fleet.Store}) holds one record per completed generation carrying
-      exactly the inputs of the merge fold — accepted entries, newly lit
-      bits, new crashers — so resume replays the fold and continues
-      bit-identically;
+    - {e across kill/resume}: the store (a {!Fleet.Store}, opened and
+      recovered by {!Fleet.Driver.recover}) holds one record per completed
+      generation carrying exactly the inputs of the merge fold — accepted
+      entries, newly lit bits, new crashers — so resume replays the fold
+      and continues bit-identically;
     - {e across superblock on/off and cov on/off}: the coverage hooks
       note the same (block, edge) stream from the linked and unlinked
       engines, and are host-side observation — model-visible behaviour is
       byte-identical with coverage on or off (docs/FUZZING.md).
 
-    Crashers are triaged against {!Verify.Taxonomy} and emitted as
-    replayable (board, input) bundles. *)
+    Crashers are triaged against {!Verify.Taxonomy}; [ticktock fuzzcov
+    --bundles] records each as a TICKRPL bundle ([Replay.Record.of_fuzzcov])
+    that [ticktock replay run] reproduces. *)
 
 open Ticktock
 
@@ -496,27 +497,12 @@ let make_runners () =
       generation through the merge fold and executes only the rest.
     - [stop_after n] stops after [n] {e newly executed} generations —
       the deterministic kill for resumability tests and CI. *)
-let run ?jobs ?store ?(resume = false) ?stop_after (spec : spec) =
+let run ?jobs ?store ?resume ?stop_after (spec : spec) =
   if spec.fc_pop <= 0 || spec.fc_gens < 0 then invalid_arg "Fuzzcov: pop/gens out of range";
-  let key = spec_key spec in
-  let st, recovered =
-    match store with
-    | None -> (None, [])
-    | Some path ->
-      if resume then
-        let t, recs = Fleet.Store.resume ~path ~spec:key in
-        (Some t, recs)
-      else (Some (Fleet.Store.create ~path ~spec:key), [])
+  let st, recovered_gens =
+    Fleet.Driver.recover ?store ?resume ~spec:(spec_key spec) ~total:spec.fc_gens
+      ~decode:decode_gen ~index:(fun gs -> gs.gs_gen) ()
   in
-  let recovered_gens : gen_summary option array = Array.make (max spec.fc_gens 1) None in
-  List.iter
-    (fun (r : Fleet.Store.record) ->
-      if r.Fleet.Store.rc_index >= 0 && r.Fleet.Store.rc_index < spec.fc_gens then
-        match decode_gen r.Fleet.Store.rc_data with
-        | Some gs when gs.gs_gen = r.Fleet.Store.rc_index ->
-          recovered_gens.(r.Fleet.Store.rc_index) <- Some gs
-        | _ -> ())
-    recovered;
   (* campaign state, advanced by the same fold whether a generation was
      executed or recovered *)
   let virgin : virgin = Hashtbl.create 4096 in
@@ -699,70 +685,3 @@ let run ?jobs ?store ?(resume = false) ?stop_after (spec : spec) =
     fz_ran_gens = !ran;
     fz_resumed_gens = !resumed;
   }
-
-(* --- replayable crash bundles --- *)
-
-(** A crasher, serialized with everything replay needs: the board, the
-    expected taxonomy class and the exact (seed, schedule) genome. *)
-type bundle = {
-  bu_board : string;
-  bu_class : Verify.Taxonomy.cls;
-  bu_site : string;
-  bu_detail : string;
-  bu_input : Input.t;
-}
-
-let bundle_magic = "TICKFUZZ v1"
-
-let bundle_of_crasher ~board c =
-  {
-    bu_board = board;
-    bu_class = c.cr_class;
-    bu_site = c.cr_site;
-    bu_detail = c.cr_detail;
-    bu_input = c.cr_input;
-  }
-
-let write_bundle path b =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "%s\nboard %s\nclass %s\nsite %S\ndetail %S\ninput %s\n" bundle_magic
-        b.bu_board
-        (Verify.Taxonomy.name b.bu_class)
-        b.bu_site b.bu_detail (Input.encode b.bu_input))
-
-let read_bundle path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      try
-        let line () = input_line ic in
-        if line () <> bundle_magic then None
-        else begin
-          let board = Scanf.sscanf (line ()) "board %s" Fun.id in
-          let cls = Scanf.sscanf (line ()) "class %s" Fun.id in
-          let site = Scanf.sscanf (line ()) "site %S" Fun.id in
-          let detail = Scanf.sscanf (line ()) "detail %S" Fun.id in
-          let input = Scanf.sscanf (line ()) "input %s" Fun.id in
-          match (Verify.Taxonomy.of_name cls, Input.decode input) with
-          | Some bu_class, Some bu_input ->
-            Some { bu_board = board; bu_class; bu_site = site; bu_detail = detail; bu_input }
-          | _ -> None
-        end
-      with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
-
-(** Replay a bundle on a freshly booted board. Returns
-    [(reproduced, observed)]: [reproduced] iff the observed crash class
-    and site match the bundle's. Deterministic — a bundle either always
-    reproduces or never does. *)
-let replay (b : bundle) =
-  let k = make_board b.bu_board in
-  let r =
-    Verify.Violation.with_enabled (contracts_for b.bu_board) (fun () -> run_input k b.bu_input)
-  in
-  match r.ex_crash with
-  | Some (cls, site, _) -> (cls = b.bu_class && site = b.bu_site, Some (cls, site))
-  | None -> (false, None)

@@ -349,7 +349,7 @@ let of_fleet_cell ?(interval = 64) ?note (spec : Fleet.Campaign.spec)
 
 (** Record a coverage-fuzzer crasher as a bundle: witness + the crashing
     genome on the campaign board, contracts armed per the board family
-    (the same arming [Fuzzcov.Engine.replay] uses). *)
+    (the same arming the fuzzcov campaign uses). *)
 let of_fuzzcov ?(interval = 64) ?note (spec : Fuzzcov.Engine.spec)
     (c : Fuzzcov.Engine.crasher) : Bundle.t =
   let board = spec.Fuzzcov.Engine.fc_board in

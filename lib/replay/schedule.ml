@@ -88,8 +88,8 @@ let fleet_cell ~seed ~fuzzers ~steps : t =
              ld_min_ram = 2048;
            })
 
-(** What {!Fuzzcov.Engine} runs per genome: witness + the genome app (the
-    crasher replay path boots without a reseed, matching [Engine.replay]). *)
+(** What {!Fuzzcov.Engine} runs per genome: witness + the genome app (a
+    crasher replays on a fresh boot, without the campaign's reseed). *)
 let fuzzcov_cell (g : Fuzzcov.Input.t) : t =
   [
     Load { ld_name = "witness"; ld_payload = "w"; ld_prog = "witness"; ld_min_ram = 2048 };

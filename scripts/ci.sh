@@ -148,39 +148,28 @@ for n in 4 8 30 $((snap_size - 1)); do
 done
 
 # Fork equivalence: every harness must be byte-identical between booting a
-# fresh board per round and forking rounds from the post-boot snapshot
-# (directly, or loaded back from the file) — the admissibility condition
+# fresh board per round (`--exec boot`, the default) and forking rounds
+# from the post-boot snapshot, directly (`--exec fork`) or loaded back
+# from the file (`--exec snapshot:FILE`) — the admissibility condition
 # for fleet campaigns running thousands of rounds off one boot.
 dune exec bin/ticktock_cli.exe -- difftest > /tmp/ci_dt_boot.txt
-dune exec bin/ticktock_cli.exe -- difftest --fork > /tmp/ci_dt_fork.txt
-diff /tmp/ci_dt_boot.txt /tmp/ci_dt_fork.txt
-dune exec bin/ticktock_cli.exe -- fuzz -k ticktock-arm -n 8 > /tmp/ci_fz_boot.txt
-dune exec bin/ticktock_cli.exe -- fuzz -k ticktock-arm -n 8 --fork > /tmp/ci_fz_fork.txt
-dune exec bin/ticktock_cli.exe -- fuzz -k ticktock-arm -n 8 --from-snapshot /tmp/ci_arm.snap > /tmp/ci_fz_file.txt
-diff /tmp/ci_fz_boot.txt /tmp/ci_fz_fork.txt
-diff /tmp/ci_fz_boot.txt /tmp/ci_fz_file.txt
-# The unified `--exec boot|fork|snapshot:FILE` selector supersedes those
-# flags (the lines above double as deprecated-alias regressions: --fork
-# and --from-snapshot warn on stderr but keep working). Both spellings
-# must be byte-identical, and an explicit --exec must win over an alias.
 dune exec bin/ticktock_cli.exe -- difftest --exec fork > /tmp/ci_dt_exec.txt
 diff /tmp/ci_dt_boot.txt /tmp/ci_dt_exec.txt
+dune exec bin/ticktock_cli.exe -- fuzz -k ticktock-arm -n 8 > /tmp/ci_fz_boot.txt
 dune exec bin/ticktock_cli.exe -- fuzz -k ticktock-arm -n 8 --exec fork > /tmp/ci_fz_exec_fork.txt
 dune exec bin/ticktock_cli.exe -- fuzz -k ticktock-arm -n 8 --exec snapshot:/tmp/ci_arm.snap > /tmp/ci_fz_exec_snap.txt
-dune exec bin/ticktock_cli.exe -- fuzz -k ticktock-arm -n 8 --fork --exec boot 2>/dev/null > /tmp/ci_fz_exec_wins.txt
 diff /tmp/ci_fz_boot.txt /tmp/ci_fz_exec_fork.txt
 diff /tmp/ci_fz_boot.txt /tmp/ci_fz_exec_snap.txt
-diff /tmp/ci_fz_boot.txt /tmp/ci_fz_exec_wins.txt
 if dune exec bin/ticktock_cli.exe -- fuzz -k ticktock-arm -n 8 --exec warp 2>/dev/null; then
   echo "fuzz: bogus --exec spec was NOT refused"
   exit 1
 fi
-dune exec bin/ticktock_cli.exe -- chaos -k ticktock-arm -n 2 -f 30 --fork -o /tmp/ci_chaos_fork.txt
+dune exec bin/ticktock_cli.exe -- chaos -k ticktock-arm -n 2 -f 30 --exec fork -o /tmp/ci_chaos_fork.txt
 diff /tmp/ci_chaos_a.txt /tmp/ci_chaos_fork.txt
 # ...and forking must stay byte-identical with trace linking disabled:
 # snapshot restore severs links either way, so both engines replay the
 # forked rounds to the same outcomes.
-TICKTOCK_SUPERBLOCK=off dune exec bin/ticktock_cli.exe -- difftest --fork > /tmp/ci_dt_fork_sb_off.txt
+TICKTOCK_SUPERBLOCK=off dune exec bin/ticktock_cli.exe -- difftest --exec fork > /tmp/ci_dt_fork_sb_off.txt
 diff /tmp/ci_dt_boot.txt /tmp/ci_dt_fork_sb_off.txt
 
 # Snapshot bench gate: restoring the pristine image onto a dirty board
@@ -290,16 +279,34 @@ dune exec bin/ticktock_cli.exe -- fuzzcov -g 8 -j 2 --store /tmp/ci_fc.store --r
 diff /tmp/ci_fc_j1.txt /tmp/ci_fc_resumed.txt
 
 # Crash triage: upstream Tock crashes under the fuzzer (the §2.2 wild-brk
-# panic), so the campaign exits 2 by design; the first crasher must come
-# out as a bundle and replaying that bundle must reproduce the same
-# (class, site) — exit 0 from --replay is the reproduction oracle.
+# panic), so the campaign exits 2 by design. (Its crashers are recorded
+# and replayed as TICKRPL bundles by the `--bundles` step further down.)
 fc_status=0
-dune exec bin/ticktock_cli.exe -- fuzzcov -k tock-arm-upstream -g 4 --bundle /tmp/ci_fc.bundle -o /tmp/ci_fc_upstream.txt || fc_status=$?
+dune exec bin/ticktock_cli.exe -- fuzzcov -k tock-arm-upstream -g 4 -o /tmp/ci_fc_upstream.txt || fc_status=$?
 if [ "$fc_status" != 2 ]; then
   echo "fuzzcov: upstream campaign did not find a crasher (exit $fc_status)"
   exit 1
 fi
-dune exec bin/ticktock_cli.exe -- fuzzcov --replay /tmp/ci_fc.bundle
+
+# Usage errors of the resumable campaigns exit 1, never cmdliner's 125:
+# a --store or -o path under a missing directory, and --resume or
+# --stop-after without a --store to resume from.
+expect_exit_1 dune exec bin/ticktock_cli.exe -- fleet -n 6 --store /nonexistent/dir/x.store
+expect_exit_1 dune exec bin/ticktock_cli.exe -- fabric --plans clean -n 2 --horizon 8 --store /nonexistent/x
+expect_exit_1 dune exec bin/ticktock_cli.exe -- fuzzcov -g 1 -p 1 --store /nonexistent/x
+expect_exit_1 dune exec bin/ticktock_cli.exe -- fleet -n 6 -o /nonexistent/out.txt
+expect_exit_1 dune exec bin/ticktock_cli.exe -- fleet -n 6 --resume
+expect_exit_1 dune exec bin/ticktock_cli.exe -- fleet -n 6 --stop-after 2
+expect_exit_1 dune exec bin/ticktock_cli.exe -- fabric --plans clean -n 2 --horizon 8 --resume
+expect_exit_1 dune exec bin/ticktock_cli.exe -- fuzzcov -g 1 -p 1 --stop-after 1
+# ...while an unwritable --bundles directory is reported and skipped: the
+# campaign's own verdict (2, crashers) stands.
+rp_status=0
+dune exec bin/ticktock_cli.exe -- fuzzcov -k tock-arm-upstream -g 4 --bundles /nonexistent/a/b -o /dev/null 2>/dev/null || rp_status=$?
+if [ "$rp_status" != 2 ]; then
+  echo "fuzzcov --bundles into a missing directory: expected exit 2, got $rp_status"
+  exit 1
+fi
 
 # Fuzzcov bench gate: guided evolution must reach the coverage target —
 # the guided run's final bucket count — in fewer execs than blind random

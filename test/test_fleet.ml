@@ -7,6 +7,9 @@
    - the store: versioned append-only frames round-trip; a strict load
      refuses truncation and version skew; resume recovers every committed
      record from a torn store and refuses a spec mismatch;
+   - the driver: a resume drops out-of-range and mismatched records and
+     a torn tail and re-runs those cells, and a stop_after kill resumed
+     at jobs 1 and 2 equals an uninterrupted run;
    - the campaign: the merged report is byte-identical across any jobs
      setting and across a kill (stop_after) / resume split;
    - fleet throughput counters surface host-flagged in the unified
@@ -172,6 +175,81 @@ let test_store_spec_mismatch () =
       | exception Fleet.Store.Refused _ -> ()
       | _ -> Alcotest.fail "expected resume to refuse a different campaign spec")
 
+(* --- the resumable-campaign driver, on a toy cell type --- *)
+
+type toy = { ty_index : int; ty_value : int }
+
+let toy_total = 12
+let toy i = { ty_index = i; ty_value = (i * i) + 7 }
+let encode_toy c = Printf.sprintf "%d %d" c.ty_index c.ty_value
+
+let decode_toy s =
+  try Scanf.sscanf s "%d %d%!" (fun ty_index ty_value -> Some { ty_index; ty_value })
+  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+
+(* [runs.(i)] counts the executions of cell [i]. *)
+let run_toy ?jobs ?store ?resume ?stop_after runs =
+  Fleet.Driver.run ?jobs ~batch:1 ?store ?resume ?stop_after ~spec:"toy-v1" ~total:toy_total
+    ~encode:encode_toy ~decode:decode_toy
+    ~index:(fun c -> c.ty_index)
+    ~init:(fun _w -> ())
+    ~cell:(fun () i ->
+      Atomic.incr runs.(i);
+      toy i)
+    ()
+
+let fresh_runs () = Array.init toy_total (fun _ -> Atomic.make 0)
+
+let test_driver_resume_drops_bad_records () =
+  let open Fleet.Driver in
+  let whole = run_toy ~jobs:1 (fresh_runs ()) in
+  check_bool "uninterrupted run completes" true whole.complete;
+  with_temp_store (fun path ->
+      let t = Fleet.Store.create ~path ~spec:"toy-v1" in
+      let append i c = Fleet.Store.append t ~index:i ~data:(encode_toy c) in
+      (* cells 0..4 committed; then an index past the lattice, a record
+         that decodes to a different index, and a torn tail *)
+      List.iter (fun i -> append i (toy i)) [ 0; 1; 2; 3; 4 ];
+      append toy_total (toy toy_total);
+      append 5 (toy 7);
+      append 6 (toy 6);
+      Fleet.Store.close t;
+      truncate_file path 3;
+      let runs = fresh_runs () in
+      let r = run_toy ~jobs:2 ~store:path ~resume:true runs in
+      check_int "only the five good records resume" 5 r.resumed;
+      check_int "everything else ran" (toy_total - 5) r.ran;
+      Array.iteri
+        (fun i n ->
+          check_int (Printf.sprintf "cell %d ran iff not resumed" i)
+            (if i < 5 then 0 else 1)
+            (Atomic.get n))
+        runs;
+      check_bool "complete" true r.complete;
+      check_bool "cells equal the uninterrupted run" true (r.cells = whole.cells);
+      (* the store now holds every cell: a second resume runs nothing *)
+      let again = run_toy ~store:path ~resume:true (fresh_runs ()) in
+      check_int "nothing left to run" 0 again.ran;
+      check_bool "and the cells still match" true (again.cells = whole.cells))
+
+let test_driver_stop_after_then_resume () =
+  let open Fleet.Driver in
+  let whole = run_toy ~jobs:1 (fresh_runs ()) in
+  List.iter
+    (fun jobs ->
+      with_temp_store (fun path ->
+          let killed = run_toy ~jobs ~store:path ~stop_after:4 (fresh_runs ()) in
+          check_bool "the kill leaves the campaign incomplete" false killed.complete;
+          check_bool "after at least the budget" true (killed.ran >= 4);
+          let resumed = run_toy ~jobs ~store:path ~resume:true (fresh_runs ()) in
+          check_bool "resume completes" true resumed.complete;
+          check_int "resumed what the kill committed" killed.ran resumed.resumed;
+          check_int "and ran the rest" toy_total (resumed.resumed + resumed.ran);
+          check_bool
+            (Printf.sprintf "jobs=%d: kill/resume equals the uninterrupted run" jobs)
+            true (resumed.cells = whole.cells)))
+    [ 1; 2 ]
+
 (* --- the campaign --- *)
 
 (* Small but real: two boards, two plans, enough cells to spread across
@@ -250,6 +328,9 @@ let suite =
     Alcotest.test_case "store: corruption refused on resume" `Quick
       test_store_corruption_refused_on_resume;
     Alcotest.test_case "store: spec mismatch refused" `Quick test_store_spec_mismatch;
+    Alcotest.test_case "driver: resume drops bad records" `Quick
+      test_driver_resume_drops_bad_records;
+    Alcotest.test_case "driver: stop_after then resume" `Quick test_driver_stop_after_then_resume;
     Alcotest.test_case "campaign: report identical across jobs" `Quick
       test_campaign_jobs_identity;
     Alcotest.test_case "campaign: report identical across kill/resume" `Quick

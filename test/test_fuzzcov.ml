@@ -12,8 +12,9 @@
      TICKTOCK_JOBS settings and across a kill (stop_after) / resume
      split through the store;
    - triage: every crash class the engine can emit maps into the
-     [Verify.Taxonomy], and a crasher bundle round-trips through its
-     file format and replays to the same (class, site). *)
+     [Verify.Taxonomy], and a crasher's TICKRPL bundle round-trips
+     through disk and replays to its recorded crash (test_replay checks
+     that the crash is the crasher's own class and site). *)
 
 open Ticktock
 
@@ -205,7 +206,8 @@ let test_engine_crash_classes_in_taxonomy () =
         (Verify.Taxonomy.of_name (Verify.Taxonomy.name c) = Some c))
     classes
 
-let find_crasher () =
+(* What [fuzzcov --bundles] writes and [replay run] reads back. *)
+let test_crasher_and_bundle_roundtrip () =
   (* the §2.2 wild-brk panic: upstream Tock crashes under the fuzzer fast *)
   let spec =
     {
@@ -214,25 +216,21 @@ let find_crasher () =
       fc_gens = 8;
     }
   in
-  let r = Fuzzcov.Engine.run spec in
-  match r.Fuzzcov.Engine.fz_crashers with
-  | c :: _ -> c
-  | [] -> Alcotest.fail "no crasher found on upstream Tock in 8 generations"
-
-let test_crasher_and_bundle_roundtrip () =
-  let c = find_crasher () in
+  let c =
+    match (Fuzzcov.Engine.run spec).Fuzzcov.Engine.fz_crashers with
+    | c :: _ -> c
+    | [] -> Alcotest.fail "no crasher found on upstream Tock in 8 generations"
+  in
   check_bool "crasher class is in the taxonomy" true
     (List.mem c.Fuzzcov.Engine.cr_class Verify.Taxonomy.all);
-  let b = Fuzzcov.Engine.bundle_of_crasher ~board:"tock-arm-upstream" c in
+  let b = Replay.Record.of_fuzzcov spec c in
   with_tmp_store (fun path ->
-      Fuzzcov.Engine.write_bundle path b;
-      match Fuzzcov.Engine.read_bundle path with
-      | None -> Alcotest.fail "bundle does not round-trip"
-      | Some b' ->
-        check_bool "bundle round-trips" true (b = b');
-        let reproduced, observed = Fuzzcov.Engine.replay b' in
-        check_bool "crasher replays to the same (class, site)" true reproduced;
-        check_bool "replay observed a crash" true (observed <> None))
+      Replay.Bundle.save b path;
+      let b' = Replay.Bundle.load path in
+      check_bool "header round-trips" true (b'.Replay.Bundle.bu_header = b.Replay.Bundle.bu_header);
+      check_bool "marks round-trip" true (b'.Replay.Bundle.bu_marks = b.Replay.Bundle.bu_marks);
+      check_bool "a crash is recorded" true (b'.Replay.Bundle.bu_header.Replay.Bundle.hd_crash <> None);
+      check_bool "loaded bundle replays to the recorded crash" true (Replay.Record.reproduces b'))
 
 (* --- genome wire format --- *)
 

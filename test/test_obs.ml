@@ -1,5 +1,5 @@
-(* The unified observability layer: recorder ring + encode/decode, trace
-   determinism, metrics-snapshot invariance across engine caches, and
+(* The unified observability layer: recorder ring + encode/decode, the
+   kernel's event trace, trace determinism, metrics-snapshot invariance across engine caches, and
    Chrome trace_event export well-formedness. *)
 
 open Ticktock
@@ -71,6 +71,123 @@ let test_disabled_records_nothing () =
   List.iter (Obs.Recorder.record r ~tick:0) one_of_each;
   check_int "nothing recorded" 0 (Obs.Recorder.recorded r);
   check_int "nothing dropped" 0 (Obs.Recorder.dropped r)
+
+(* --- the kernel's event trace ---
+
+   A kernel created with [~obs] records what the scheduler sees: process
+   creation, slices, syscalls with their results, upcalls, faults with
+   their reasons and exits with their codes. *)
+
+module K = Boards.Ticktock_arm
+
+let kernel_with_obs ?capacity () =
+  let m = Machine.create_arm () in
+  let r = Obs.Recorder.create ?capacity () in
+  let caps, _ = Capsules.Board_set.standard () in
+  let k =
+    K.create ~mem:m.Machine.arm_mem ~hw:m.Machine.arm_mpu
+      ~switcher:(Kernel.Arm_switch m.Machine.arm_cpu) ~capsules:caps ~obs:r ()
+  in
+  (k, r)
+
+let create_proc k ~name script =
+  Result.get_ok
+    (K.create_process k ~name ~payload:name ~program:(Apps.App_dsl.to_program script)
+       ~min_ram:2048 ())
+
+(* A bounded recorder on the kernel keeps exactly the newest events of
+   the same run recorded in full, and counts the rest as dropped. *)
+let test_kernel_ring () =
+  let run ?capacity () =
+    let k, r = kernel_with_obs ?capacity () in
+    let _ = create_proc k ~name:"ringed" Apps.App_dsl.(let* _ = sbrk 64 in return 0) in
+    K.run k ~max_ticks:50;
+    r
+  in
+  let full = run () and ring = run ~capacity:4 () in
+  let all = Obs.Recorder.entries full in
+  let total = List.length all in
+  check_int "full run dropped nothing" 0 (Obs.Recorder.dropped full);
+  check_bool "the run overflows the ring" true (total > 4);
+  check_int "ring holds its capacity" 4 (Obs.Recorder.recorded ring);
+  check_int "the rest are dropped" (total - 4) (Obs.Recorder.dropped ring);
+  check_bool "survivors are the newest events, oldest first" true
+    (Obs.Recorder.entries ring = List.filteri (fun i _ -> i >= total - 4) all)
+
+let test_kernel_lifecycle () =
+  let k, r = kernel_with_obs () in
+  let p = create_proc k ~name:"traced" Apps.App_dsl.(let* _ = sbrk 64 in return 3) in
+  K.run k ~max_ticks:50;
+  let pid = p.Process.pid in
+  let seen f = List.exists f (Obs.Recorder.events r) in
+  check_bool "created recorded" true
+    (seen (function Obs.Event.Proc_created e -> e.pid = pid && e.name = "traced" | _ -> false));
+  check_bool "scheduled recorded" true
+    (seen (function Obs.Event.Scheduled e -> e.pid = pid | _ -> false));
+  check_bool "memop syscall recorded" true
+    (seen (function Obs.Event.Syscall e -> e.pid = pid && e.call = "memop" | _ -> false));
+  check_bool "and it was the sbrk" true
+    (seen (function Obs.Event.Brk e -> e.pid = pid && e.ok | _ -> false));
+  check_bool "exit code 3 recorded" true
+    (seen (function Obs.Event.Exited e -> e.pid = pid && e.code = 3 | _ -> false))
+
+let test_kernel_fault () =
+  let k, r = kernel_with_obs () in
+  let p = create_proc k ~name:"crasher" Apps.App_dsl.(let* _ = load8 0 in return 0) in
+  K.run k ~max_ticks:50;
+  match
+    List.filter_map
+      (function Obs.Event.Faulted e -> Some (e.pid, e.reason) | _ -> None)
+      (Obs.Recorder.events r)
+  with
+  | [ (pid, reason) ] ->
+    check_int "faulting pid" p.Process.pid pid;
+    check_bool "reason names the mpu" true
+      (String.length reason >= 3 && String.sub reason 0 3 = "mpu")
+  | fs -> Alcotest.failf "expected one fault, got %d" (List.length fs)
+
+let test_kernel_upcall () =
+  let k, r = kernel_with_obs () in
+  let p =
+    create_proc k ~name:"alarmed"
+      Apps.App_dsl.(
+        let* _ = subscribe ~driver:4 ~upcall_id:0 in
+        let* _ = command ~driver:4 ~cmd:1 ~arg1:2 () in
+        let* _ = yield in
+        return 0)
+  in
+  K.run k ~max_ticks:50;
+  check_bool "upcall recorded" true
+    (List.exists
+       (function Obs.Event.Upcall e -> e.pid = p.Process.pid | _ -> false)
+       (Obs.Recorder.events r))
+
+let test_kernel_syscalls_per_pid () =
+  let k, r = kernel_with_obs () in
+  let p =
+    create_proc k ~name:"s"
+      Apps.App_dsl.(
+        let* _ = memory_start in
+        let* _ = memory_end in
+        return 0)
+  in
+  K.run k ~max_ticks:50;
+  check_int "two syscalls attributed" 2
+    (List.length
+       (List.filter
+          (function Obs.Event.Syscall e -> e.pid = p.Process.pid | _ -> false)
+          (Obs.Recorder.events r)))
+
+let test_kernel_rendering () =
+  let k, r = kernel_with_obs () in
+  let _ = create_proc k ~name:"r" (Apps.App_dsl.return 0) in
+  K.run k ~max_ticks:10;
+  let s = Obs.Recorder.to_string r in
+  check_bool "mentions the creation" true
+    (let needle = "proc_created {pid=0, name=r}" in
+     let n = String.length needle in
+     let rec go i = i + n <= String.length s && (String.sub s i n = needle || go (i + 1)) in
+     go 0)
 
 (* --- trace determinism --- *)
 
@@ -455,4 +572,15 @@ let suite =
       test_metrics_fleet_counters;
     Alcotest.test_case "chrome export is well-formed JSON" `Quick test_chrome_wellformed;
     Alcotest.test_case "metrics JSON is well-formed" `Quick test_metrics_json_wellformed;
+  ]
+
+(* The kernel's event trace, recorded through [~obs]. *)
+let kernel_trace_suite =
+  [
+    Alcotest.test_case "ring buffer basics" `Quick test_kernel_ring;
+    Alcotest.test_case "lifecycle events" `Quick test_kernel_lifecycle;
+    Alcotest.test_case "fault event" `Quick test_kernel_fault;
+    Alcotest.test_case "upcall event" `Quick test_kernel_upcall;
+    Alcotest.test_case "per-pid syscall filter" `Quick test_kernel_syscalls_per_pid;
+    Alcotest.test_case "rendering" `Quick test_kernel_rendering;
   ]

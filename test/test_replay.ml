@@ -1,9 +1,9 @@
 (* Conformance suite for the Replayable execution API and the TICKRPL
-   record/replay stack: the --exec spec and its deprecated aliases, the
-   schedule encoding, and the time-travel identities the navigator
-   promises — goto-T equals a straight run to T, a backward step equals a
-   fresh forward run, bundles round-trip through disk and refuse loudly
-   when they no longer reproduce their recording. *)
+   record/replay stack: the --exec spec, the schedule encoding, and the
+   time-travel identities the navigator promises — goto-T equals a
+   straight run to T, a backward step equals a fresh forward run, bundles
+   round-trip through disk and refuse loudly when they no longer
+   reproduce their recording. *)
 
 open Ticktock
 
@@ -38,34 +38,6 @@ let test_exec_parse () =
       | Ok spec -> check_string "to_string round-trips" s (Replayable.Exec.to_string spec)
       | Error _ -> Alcotest.fail ("parse failed on " ^ s))
     [ "boot"; "fork"; "snapshot:/tmp/x.snap" ]
-
-let test_exec_aliases () =
-  let warnings = ref [] in
-  let warn m = warnings := m :: !warnings in
-  let of_flags ~fork ~from_snapshot exec =
-    Replayable.Exec.of_flags ~warn ~fork ~from_snapshot exec
-  in
-  (* no flags at all: boot, silently *)
-  warnings := [];
-  check_bool "default is boot" true
-    (of_flags ~fork:false ~from_snapshot:None None = Ok Replayable.Exec.Boot);
-  check_int "no warning" 0 (List.length !warnings);
-  (* each deprecated alias still works, and warns *)
-  warnings := [];
-  check_bool "--fork still works" true
-    (of_flags ~fork:true ~from_snapshot:None None = Ok Replayable.Exec.Fork);
-  check_int "--fork warns" 1 (List.length !warnings);
-  warnings := [];
-  check_bool "--from-snapshot still works" true
-    (of_flags ~fork:false ~from_snapshot:(Some "/tmp/x.snap") None
-    = Ok (Replayable.Exec.Snapshot_file "/tmp/x.snap"));
-  check_int "--from-snapshot warns" 1 (List.length !warnings);
-  (* an explicit --exec wins over both aliases, and no alias warning *)
-  warnings := [];
-  check_bool "--exec beats the aliases" true
-    (of_flags ~fork:true ~from_snapshot:(Some "/tmp/x.snap") (Some "boot")
-    = Ok Replayable.Exec.Boot);
-  check_int "--exec silences the aliases" 0 (List.length !warnings)
 
 (* Boot and fork cells are byte-identical through the shared runner: the
    admissibility check that let the six campaigns collapse onto it. *)
@@ -217,9 +189,27 @@ let test_fuzzcov_crasher_bundle () =
   match r.Fuzzcov.Engine.fz_crashers with
   | [] -> Alcotest.fail "upstream board found no crasher"
   | c :: _ ->
+    check_bool "crasher class is in the taxonomy" true
+      (List.mem c.Fuzzcov.Engine.cr_class Verify.Taxonomy.all);
     let b = Replay.Record.of_fuzzcov spec c in
     check_bool "crasher bundle reproduces" true (Replay.Record.reproduces b);
-    check_bool "crash recorded" true (b.Replay.Bundle.bu_header.Replay.Bundle.hd_crash <> None)
+    (* the replayed crash is the crasher's own: a panic carries the
+       crasher's message, a violation names its site, which classifies
+       to its class *)
+    match b.Replay.Bundle.bu_header.Replay.Bundle.hd_crash with
+    | None -> Alcotest.fail "crash not recorded"
+    | Some (_, reason) ->
+      if c.Fuzzcov.Engine.cr_class = Verify.Taxonomy.Kernel_panic then begin
+        check_string "panic site" "kernel" c.Fuzzcov.Engine.cr_site;
+        check_string "reason is the crasher's panic" ("panic: " ^ c.Fuzzcov.Engine.cr_detail)
+          reason
+      end
+      else begin
+        check_string "reason names the crasher's site"
+          ("violation: " ^ c.Fuzzcov.Engine.cr_site) reason;
+        check_bool "and the site classifies to the crasher's class" true
+          (Verify.Taxonomy.class_of_site c.Fuzzcov.Engine.cr_site = c.Fuzzcov.Engine.cr_class)
+      end
 
 let test_fabric_cell_bundle () =
   let spec =
@@ -277,7 +267,6 @@ let test_replay_invisibility () =
 let suite =
   [
     Alcotest.test_case "exec spec parses" `Quick test_exec_parse;
-    Alcotest.test_case "deprecated aliases resolve and warn" `Quick test_exec_aliases;
     Alcotest.test_case "boot and fork cells identical" `Quick test_boot_fork_identical;
     Alcotest.test_case "schedule round-trips" `Quick test_schedule_roundtrip;
     Alcotest.test_case "navigator identity (ticktock-arm)" `Quick (nav_identity "ticktock-arm");
