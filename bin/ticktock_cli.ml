@@ -463,7 +463,7 @@ let fleet_cmd =
       $ Cli_common.bundles_arg $ Cli_common.out_arg)
 
 let fabric_cmd =
-  let run plans cuts horizon campaign bundles out =
+  let run plans cuts horizon seed campaign bundles out =
     Cli_common.run_campaign ~label:"fabric" ~out ~bundles campaign (fun () ->
         let d = Fabric.Campaign.default_spec in
         let spec =
@@ -471,6 +471,7 @@ let fabric_cmd =
             d with
             Fabric.Campaign.fb_cuts = cuts;
             fb_horizon = horizon;
+            fb_seed = seed;
             fb_plans =
               (match plans with
               | None -> d.Fabric.Campaign.fb_plans
@@ -519,13 +520,22 @@ let fabric_cmd =
       value & opt int 64
       & info [ "horizon" ] ~docv:"T" ~doc:"Global ticks per cell (must exceed the last cut).")
   in
+  let seed =
+    Arg.(
+      value
+      & opt int Fabric.Campaign.default_spec.Fabric.Campaign.fb_seed
+      & info [ "seed" ] ~docv:"N"
+          ~doc:
+            "Sweep seed: derives the deployment and every cell's link-fault and entropy seeds \
+             (part of the store's spec key).")
+  in
   Cmd.v
     (Cmd.info "fabric"
        ~doc:
          "Multi-board fabric campaign: OTA updates and gateway traffic under link faults, \
           with a power cut at every tick, classified for cross-board containment")
     Term.(
-      const run $ plans $ cuts $ horizon
+      const run $ plans $ cuts $ horizon $ seed
       $ Cli_common.campaign_term ~units:"cells"
       $ Cli_common.bundles_arg $ Cli_common.out_arg)
 

@@ -96,8 +96,27 @@ let capsule ?(pins = [ 8; 9 ]) gpio =
             subs);
     }
   in
+  (* quiet while every pin reads the level it last saw; a quiet tick
+     still charges one GPIO read per pin *)
+  let quiet =
+    {
+      Capsule_intf.q_next =
+        (fun ~now ->
+          let moved = ref false in
+          List.iteri
+            (fun i pin -> if Mpu_hw.Gpio.level gpio pin <> last_levels.(i) then moved := true)
+            pins;
+          if !moved then now + 1 else max_int);
+      q_advance =
+        (fun ~from ~upto ->
+          Cycles.tick
+            ~n:((upto - from + 1) * List.length pins * Cycles.mpu_reg_write)
+            Cycles.global);
+    }
+  in
   { (Capsule_intf.stub ~driver_num ~name:"button") with
     Capsule_intf.cap_command = command;
     cap_tick = tick;
     cap_snapshot = Some snapshotter;
+    cap_quiet = Some quiet;
   }

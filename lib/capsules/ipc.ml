@@ -173,4 +173,5 @@ let capsule ?(copy_nack = ref 0) () =
     cap_command = command;
     cap_proc_died = proc_died;
     cap_snapshot = Some snapshotter;
+    cap_quiet = Some Capsule_intf.always_quiet;
   }

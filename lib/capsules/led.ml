@@ -31,4 +31,7 @@ let capsule ?(pins = [ 0; 1; 2; 3 ]) gpio =
         end
         else Userland.failure
   in
-  { (Capsule_intf.stub ~driver_num ~name:"led") with Capsule_intf.cap_command = command }
+  { (Capsule_intf.stub ~driver_num ~name:"led") with
+    Capsule_intf.cap_command = command;
+    cap_quiet = Some Capsule_intf.always_quiet;
+  }

@@ -64,9 +64,21 @@ let capsule uart =
       sn_fingerprint = (fun () -> Fp.string Fp.seed (Buffer.contents line));
     }
   in
+  (* quiet while the receive queue is empty; a quiet tick still charges
+     the one empty UART read of [drain] *)
+  let quiet =
+    {
+      Capsule_intf.q_next =
+        (fun ~now -> if Mpu_hw.Uart.rx_available uart then now + 1 else max_int);
+      q_advance =
+        (fun ~from ~upto ->
+          Cycles.tick ~n:((upto - from + 1) * Cycles.mpu_reg_write) Cycles.global);
+    }
+  in
   { (Capsule_intf.stub ~driver_num ~name:"process-console") with
     Capsule_intf.cap_init = (fun s -> svc := Some s);
     cap_tick = tick;
     cap_has_work = (fun () -> Mpu_hw.Uart.rx_available uart);
     cap_snapshot = Some snapshotter;
+    cap_quiet = Some quiet;
   }

@@ -65,6 +65,7 @@ let capsule_reseed ?(seed = 0x2545_F491) ?(stall = ref 0) () =
   ( { (Capsule_intf.stub ~driver_num ~name:"rng") with
       Capsule_intf.cap_command = command;
       cap_snapshot = Some snapshotter;
+      cap_quiet = Some Capsule_intf.always_quiet;
     },
     (* cheap per-fork reseeding: fleet cells forked from one pristine image
        re-point the xorshift stream here, right after the restore, instead

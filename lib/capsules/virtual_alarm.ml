@@ -91,10 +91,19 @@ let capsule () =
           Fp.int (Fp.int h st.now) st.fired);
     }
   in
+  (* quiet until the earliest deadline; a quiet tick only moves [now] *)
+  let quiet =
+    {
+      Capsule_intf.q_next =
+        (fun ~now:_ -> match st.queue with [] -> max_int | o :: _ -> o.o_deadline);
+      q_advance = (fun ~from:_ ~upto -> st.now <- upto);
+    }
+  in
   ( { (Capsule_intf.stub ~driver_num ~name:"virtual-alarm") with
       Capsule_intf.cap_command = command;
       cap_tick = tick;
       cap_snapshot = Some snapshotter;
+      cap_quiet = Some quiet;
     },
     st )
 

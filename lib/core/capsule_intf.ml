@@ -79,6 +79,26 @@ type snapshotter = {
   sn_fingerprint : unit -> int64;
 }
 
+(** A capsule's quiet-tick declaration, for tickless idle. When a tick
+    ends with no runnable process, the kernel jumps over the ticks on
+    which nothing can act, as Tock's kernel loop sleeps until the next
+    interrupt. It may skip a capsule's [cap_tick] only where the capsule
+    declares the tick quiet: one whose only effects are the clocks
+    [q_advance] applies, and over which [cap_has_work] keeps its answer
+    (the contract in docs/VERIFICATION.md, on tickless idle). *)
+type quiet = {
+  q_next : now:int -> int;
+      (** the first tick after [now] whose [cap_tick] may do more than
+          advance clocks — schedule an upcall, change state a snapshot
+          sees, or change [cap_has_work]; [max_int] when none will *)
+  q_advance : from:int -> upto:int -> unit;
+      (** apply, in one step, the clock effects of [cap_tick ~now:k] for
+          every [k] in [from..upto], all of them quiet *)
+}
+
+(** The declaration of a capsule without a bottom half. *)
+let always_quiet = { q_next = (fun ~now:_ -> max_int); q_advance = (fun ~from:_ ~upto:_ -> ()) }
+
 (** One driver. The kernel calls these hooks with the {e calling} process's
     handle; [cap_tick] runs every scheduler tick (the bottom half). *)
 type t = {
@@ -100,6 +120,10 @@ type t = {
   cap_snapshot : snapshotter option;
       (** capture/restore hook for the board snapshot subsystem; [None]
           (the {!stub} default) marks a stateless capsule *)
+  cap_quiet : quiet option;
+      (** which ticks [cap_tick] spends only on clocks; [None] (the {!stub}
+          default) declares nothing, so the kernel steps every tick while
+          the capsule is registered *)
 }
 
 (** A do-nothing capsule to build real ones from. *)
@@ -116,4 +140,5 @@ let stub ~driver_num ~name =
     cap_has_work = (fun () -> false);
     cap_proc_died = (fun ~pid:_ -> ());
     cap_snapshot = None;
+    cap_quiet = None;
   }

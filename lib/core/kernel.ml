@@ -1005,6 +1005,52 @@ module Make (MM : Mm.S) = struct
          (fun _ (c : Capsule_intf.t) acc -> acc || c.Capsule_intf.cap_has_work ())
          t.capsules false
 
+  (* Tickless idle. With no process runnable, the first tick after
+     [t.ticks] at which anything but a clock may change: a yielded
+     process's alarm, a backoff restart, or a capsule's declared next
+     action. An attached chaos engine, a capsule that declares nothing,
+     or a pending-upcall queue of two or more entries (which [wake_alarms]
+     rotates) pins it to the next tick. A yielded process never holds a
+     queued upcall, so a queue of one stays as it is. *)
+  let next_event t =
+    let next = t.ticks + 1 in
+    if t.chaos <> None then next
+    else
+      let ev =
+        List.fold_left
+          (fun ev (p : proc) ->
+            if Queue.length p.Process.pending_upcalls >= 2 then next
+            else
+              let ev = match p.Process.restart_at with Some due -> min ev due | None -> ev in
+              match (p.Process.state, p.Process.alarm_at) with
+              | Process.Yielded, Some due -> min ev due
+              | (Process.Ready | Process.Yielded | Process.Faulted _ | Process.Exited _), _ -> ev)
+          max_int t.procs
+      in
+      Hashtbl.fold
+        (fun _ (c : Capsule_intf.t) ev ->
+          match c.Capsule_intf.cap_quiet with
+          | None -> next
+          | Some q -> min ev (q.Capsule_intf.q_next ~now:t.ticks))
+        t.capsules ev
+
+  (* Jump over the idle ticks before [next_event] in one step. On them
+     only the kernel tick and the capsules' declared clocks change, and
+     [has_future_work] keeps its answer, so the loop below would have
+     spun through exactly these ticks. A run that has reached its
+     deadline (every one-tick step) looks no further. *)
+  let skip_idle t ~deadline =
+    if t.ticks < deadline then
+      let upto = min deadline (next_event t - 1) in
+      if upto > t.ticks && has_future_work t then begin
+        let from = t.ticks + 1 in
+        Hashtbl.iter
+          (fun _ (c : Capsule_intf.t) ->
+            Option.iter (fun q -> q.Capsule_intf.q_advance ~from ~upto) c.Capsule_intf.cap_quiet)
+          t.capsules;
+        t.ticks <- upto
+      end
+
   let run t ~max_ticks =
     let deadline = t.ticks + max_ticks in
     ensure_capsules_initialized t;
@@ -1015,7 +1061,7 @@ module Make (MM : Mm.S) = struct
       wake_alarms t;
       let runnable = List.filter Process.is_runnable t.procs in
       (match (t.sched, runnable) with
-      | _, [] -> () (* idle tick: only the timer advances *)
+      | _, [] -> skip_idle t ~deadline (* idle tick: sleep until the next event *)
       | (Round_robin | Cooperative), _ ->
         List.iter (fun p -> if Process.is_runnable p then step_process t p) runnable
       | Priority prio, p0 :: rest ->

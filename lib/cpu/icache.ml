@@ -75,19 +75,23 @@ let th_buckets = 32
 (* --- coverage map (AFL-style) ---
 
    Host-side (block-entry, edge) hit maps over the dispatch stream. Two
-   2^cov_bits byte maps of saturating counts: [cv_blocks] indexed by a
-   multiplicative hash of the block start PC, [cv_edges] by
+   2^cov_bits maps of saturating byte counts, kept end to end in one
+   buffer: block slots [0, cov_slots) indexed by a multiplicative hash of
+   the block start PC, edge slots [cov_slots, 2*cov_slots) by
    [cur lxor (prev lsr 1)] in the classic AFL scheme (the shift makes
-   A->B and B->A distinct, and A->A nonzero). Allocated only when
-   coverage is switched on, so the default-path cost is one [None]
-   check per block dispatch. Never part of any snapshot, fingerprint or
-   model-visible metric. *)
+   A->B and B->A distinct, and A->A nonzero). Every slot is logged the
+   first time it lights, so reset, classify and count walk the slots an
+   exec touched — a few dozen — instead of the 128 KiB of map. Allocated
+   only when coverage is switched on, so the default-path cost is one
+   [None] check per block dispatch. Never part of any snapshot,
+   fingerprint or model-visible metric. *)
 let cov_bits = 16
 let cov_slots = 1 lsl cov_bits
 
 type cov = {
-  cv_blocks : Bytes.t;
-  cv_edges : Bytes.t;
+  cv_map : Bytes.t;  (* block map, then edge map *)
+  mutable cv_log : int array;  (* slots lit since the last reset, in first-light order *)
+  mutable cv_lit : int;  (* used prefix of [cv_log] *)
   mutable cv_prev : int;
   mutable cv_block_hits : int;  (* exact totals; the byte maps saturate *)
   mutable cv_edge_hits : int;
@@ -158,8 +162,9 @@ let set_coverage t v =
     t.cov <-
       Some
         {
-          cv_blocks = Bytes.make cov_slots '\000';
-          cv_edges = Bytes.make cov_slots '\000';
+          cv_map = Bytes.make (2 * cov_slots) '\000';
+          cv_log = Array.make 64 0;
+          cv_lit = 0;
           cv_prev = 0;
           cv_block_hits = 0;
           cv_edge_hits = 0;
@@ -173,8 +178,10 @@ let cov_reset t =
   match t.cov with
   | None -> ()
   | Some c ->
-    Bytes.fill c.cv_blocks 0 cov_slots '\000';
-    Bytes.fill c.cv_edges 0 cov_slots '\000';
+    for i = 0 to c.cv_lit - 1 do
+      Bytes.unsafe_set c.cv_map (Array.unsafe_get c.cv_log i) '\000'
+    done;
+    c.cv_lit <- 0;
     c.cv_prev <- 0;
     c.cv_block_hits <- 0;
     c.cv_edge_hits <- 0
@@ -184,20 +191,35 @@ let cov_reset t =
    the low 32 carry well-mixed entropy. *)
 let cov_hash pc = ((pc lsr 1) * 0x9E3779B1) lsr (32 - cov_bits) land (cov_slots - 1)
 
-let sat_incr map i =
-  let v = Char.code (Bytes.unsafe_get map i) in
-  if v < 255 then Bytes.unsafe_set map i (Char.unsafe_chr (v + 1))
+(* A slot lit for the first time since the last reset joins the log. The
+   log never holds a slot twice, so it is at most [2 * cov_slots] long. *)
+let log_slot c i =
+  if c.cv_lit = Array.length c.cv_log then begin
+    let log = Array.make (2 * c.cv_lit) 0 in
+    Array.blit c.cv_log 0 log 0 c.cv_lit;
+    c.cv_log <- log
+  end;
+  Array.unsafe_set c.cv_log c.cv_lit i;
+  c.cv_lit <- c.cv_lit + 1
 
-let cov_note t pc =
-  match t.cov with
-  | None -> ()
-  | Some c ->
-    let cur = cov_hash pc in
-    sat_incr c.cv_blocks cur;
-    sat_incr c.cv_edges (cur lxor c.cv_prev);
-    c.cv_prev <- cur lsr 1;
-    c.cv_block_hits <- c.cv_block_hits + 1;
-    c.cv_edge_hits <- c.cv_edge_hits + 1
+let sat_incr c i =
+  let v = Char.code (Bytes.unsafe_get c.cv_map i) in
+  if v < 255 then begin
+    Bytes.unsafe_set c.cv_map i (Char.unsafe_chr (v + 1));
+    if v = 0 then log_slot c i
+  end
+
+let note c pc =
+  let cur = cov_hash pc in
+  sat_incr c cur;
+  sat_incr c (cov_slots + (cur lxor c.cv_prev));
+  c.cv_prev <- cur lsr 1;
+  c.cv_block_hits <- c.cv_block_hits + 1;
+  c.cv_edge_hits <- c.cv_edge_hits + 1
+
+(* Every block dispatch calls this. With coverage off it is one [None]
+   check and a return, and needs no stack frame. *)
+let cov_note t pc = match t.cov with None -> () | Some c -> note c pc
 
 (* AFL's 8-class count bucketing: a slot's saturating count collapses to
    a one-bit-per-class byte, so "this edge fired 4 times" and "5 times"
@@ -227,16 +249,9 @@ let cov_classified t =
   match t.cov with
   | None -> [||]
   | Some c ->
-    let acc = ref [] in
-    for i = cov_slots - 1 downto 0 do
-      let v = Char.code (Bytes.unsafe_get c.cv_edges i) in
-      if v > 0 then acc := (cov_slots + i, classify v) :: !acc
-    done;
-    for i = cov_slots - 1 downto 0 do
-      let v = Char.code (Bytes.unsafe_get c.cv_blocks i) in
-      if v > 0 then acc := (i, classify v) :: !acc
-    done;
-    Array.of_list !acc
+    let slots = Array.sub c.cv_log 0 c.cv_lit in
+    Array.sort Int.compare slots;
+    Array.map (fun i -> (i, classify (Char.code (Bytes.unsafe_get c.cv_map i)))) slots
 
 type cov_counts = { cc_blocks_lit : int; cc_edges_lit : int; cc_block_hits : int; cc_edge_hits : int }
 
@@ -244,16 +259,13 @@ let cov_counts t =
   match t.cov with
   | None -> { cc_blocks_lit = 0; cc_edges_lit = 0; cc_block_hits = 0; cc_edge_hits = 0 }
   | Some c ->
-    let lit map =
-      let n = ref 0 in
-      for i = 0 to cov_slots - 1 do
-        if Bytes.unsafe_get map i <> '\000' then incr n
-      done;
-      !n
-    in
+    let blocks = ref 0 in
+    for i = 0 to c.cv_lit - 1 do
+      if c.cv_log.(i) < cov_slots then incr blocks
+    done;
     {
-      cc_blocks_lit = lit c.cv_blocks;
-      cc_edges_lit = lit c.cv_edges;
+      cc_blocks_lit = !blocks;
+      cc_edges_lit = c.cv_lit - !blocks;
       cc_block_hits = c.cv_block_hits;
       cc_edge_hits = c.cv_edge_hits;
     }

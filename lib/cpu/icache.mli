@@ -139,8 +139,10 @@ val coverage : t -> bool
 val cov_reset : t -> unit
 (** Zero both maps, the edge-hash history and the hit totals — called at
     the top of every fuzz input so the per-input bitmap is a pure function
-    of that input. Independent of {!reset}: dropping cached blocks does
-    not lose coverage, and vice versa. *)
+    of that input. Costs the slots lit since the last reset, not the map
+    size: every slot is logged when it first lights. Independent of
+    {!reset}: dropping cached blocks does not lose coverage, and vice
+    versa. *)
 
 val cov_note : t -> Word32.t -> unit
 (** Record one block dispatch at [pc]: bump the block slot
@@ -156,7 +158,8 @@ val cov_classified : t -> (int * int) array
     strictly power-of-two above 3 — 1, 2, 3, 4–7, 8–15, 16–31, 32–63,
     64–127, 128+ hits — so a schedule running twice as long always
     crosses a class boundary (what the evolutionary loop climbs on).
-    Empty when coverage is off. *)
+    Empty when coverage is off. Sorts the lit-slot log; never scans the
+    map. *)
 
 type cov_counts = {
   cc_blocks_lit : int;  (** distinct block slots hit since {!cov_reset} *)
@@ -166,7 +169,7 @@ type cov_counts = {
 }
 
 val cov_counts : t -> cov_counts
-(** All zero when coverage is off. *)
+(** Counted over the lit-slot log. All zero when coverage is off. *)
 
 val reset : t -> unit
 (** Drop every cached decode and block, sever every trace link (including

@@ -37,11 +37,15 @@ let toggle t n =
   let p = t.pins.(n) in
   write t n (not p.out_level)
 
-let read t n =
+let level t n =
   check t n;
-  Cycles.tick ~n:Cycles.mpu_reg_write Cycles.global;
   let p = t.pins.(n) in
   match p.dir with Input -> p.in_level | Output -> p.out_level
+
+let read t n =
+  let v = level t n in
+  Cycles.tick ~n:Cycles.mpu_reg_write Cycles.global;
+  v
 
 let set_input t n level =
   check t n;

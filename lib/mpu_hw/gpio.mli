@@ -17,6 +17,10 @@ val toggle : t -> int -> unit
 val read : t -> int -> bool
 (** Input pins read the external level; output pins read back the latch. *)
 
+val level : t -> int -> bool
+(** What {!read} returns, without charging a bus access: for a caller
+    deciding whether a read would see anything new. *)
+
 val set_input : t -> int -> bool -> unit
 (** Model the external world driving an input pin. *)
 

@@ -236,6 +236,15 @@ fi
 dune exec bin/ticktock_cli.exe -- fabric --plans clean,lossy -n 10 -j 2 --store /tmp/ci_fab.store --resume -o /tmp/ci_fab_resumed.txt
 diff /tmp/ci_fab_j1.txt /tmp/ci_fab_resumed.txt
 
+# fabric --seed: omitting it is the spec's sweep seed 42, and the seed is
+# part of a store's spec key, so resuming a store written under another
+# seed is a typed refusal.
+dune exec bin/ticktock_cli.exe -- fabric --plans clean,lossy -n 10 -j 1 --seed 42 -o /tmp/ci_fab_seed42.txt
+diff /tmp/ci_fab_j1.txt /tmp/ci_fab_seed42.txt
+rm -f /tmp/ci_fab_seed7.store
+dune exec bin/ticktock_cli.exe -- fabric --plans clean -n 2 --seed 7 --store /tmp/ci_fab_seed7.store -o /dev/null
+expect_exit_1 dune exec bin/ticktock_cli.exe -- fabric --plans clean -n 2 --store /tmp/ci_fab_seed7.store --resume
+
 # Fabric absence gate: the fabric layer's footprint is host-side only —
 # running a whole campaign in the same process must leave the modeled
 # experiments byte-identical (same discipline as the obs/superblock
@@ -264,12 +273,16 @@ print("fabric smoke ok: %d plans x %d cuts, zero silent corruption, reports iden
 EOF
 
 # Fuzzcov smoke: the guided campaign's report must be byte-identical at
-# every jobs setting, and a killed campaign (--stop-after) resumed from
-# its store must reproduce the uninterrupted report exactly — same
-# stdout-is-the-oracle discipline as the fleet smoke above.
+# every jobs setting and to the committed report, and a killed campaign
+# (--stop-after) resumed from its store must reproduce the uninterrupted
+# report exactly — same stdout-is-the-oracle discipline as the fleet
+# smoke above.
 dune exec bin/ticktock_cli.exe -- fuzzcov -g 8 -j 1 -o /tmp/ci_fc_j1.txt
 dune exec bin/ticktock_cli.exe -- fuzzcov -g 8 -j 2 -o /tmp/ci_fc_j2.txt
 diff /tmp/ci_fc_j1.txt /tmp/ci_fc_j2.txt
+diff test/expected/fuzzcov-g8-j1.txt /tmp/ci_fc_j1.txt
+dune exec bin/ticktock_cli.exe -- fuzzcov -j 1 -o /tmp/ci_fc_default.txt
+diff test/expected/fuzzcov-j1.txt /tmp/ci_fc_default.txt
 rm -f /tmp/ci_fc.store
 if dune exec bin/ticktock_cli.exe -- fuzzcov -g 8 -j 2 --store /tmp/ci_fc.store --stop-after 3 2>/dev/null; then
   echo "fuzzcov: interrupted campaign did NOT exit nonzero"
@@ -287,6 +300,7 @@ if [ "$fc_status" != 2 ]; then
   echo "fuzzcov: upstream campaign did not find a crasher (exit $fc_status)"
   exit 1
 fi
+diff test/expected/fuzzcov-upstream-g4.txt /tmp/ci_fc_upstream.txt
 
 # Usage errors of the resumable campaigns exit 1, never cmdliner's 125:
 # a --store or -o path under a missing directory, and --resume or

@@ -69,6 +69,149 @@ let test_cov_edges () =
   check_int "two block hits counted" 2 cc.Fluxarm.Icache.cc_block_hits;
   check_int "two edges counted" 2 cc.Fluxarm.Icache.cc_edge_hits
 
+(* The map logs each slot when it first lights and resets, classifies and
+   counts over that log. The reference keeps the two plain 64 KiB maps of
+   the AFL scheme and scans them, so any slot the log misses, repeats or
+   fails to clear shows up as a difference. *)
+module Ref_map = struct
+  let slots = Fluxarm.Icache.cov_slots
+
+  type t = {
+    mutable on : bool;
+    blocks : Bytes.t;
+    edges : Bytes.t;
+    mutable prev : int;
+    mutable block_hits : int;
+    mutable edge_hits : int;
+  }
+
+  let create () =
+    {
+      on = false;
+      blocks = Bytes.make slots '\000';
+      edges = Bytes.make slots '\000';
+      prev = 0;
+      block_hits = 0;
+      edge_hits = 0;
+    }
+
+  let reset r =
+    Bytes.fill r.blocks 0 slots '\000';
+    Bytes.fill r.edges 0 slots '\000';
+    r.prev <- 0;
+    r.block_hits <- 0;
+    r.edge_hits <- 0
+
+  let hash pc = ((pc lsr 1) * 0x9E3779B1) lsr (32 - Fluxarm.Icache.cov_bits) land (slots - 1)
+
+  let bump map i =
+    let v = Char.code (Bytes.get map i) in
+    if v < 255 then Bytes.set map i (Char.chr (v + 1))
+
+  let note r pc =
+    if r.on then begin
+      let cur = hash pc in
+      bump r.blocks cur;
+      bump r.edges (cur lxor r.prev);
+      r.prev <- cur lsr 1;
+      r.block_hits <- r.block_hits + 1;
+      r.edge_hits <- r.edge_hits + 1
+    end
+
+  let class_of v =
+    List.find (fun (hi, _) -> v <= hi) [ (1, 1); (2, 2); (3, 4); (7, 8); (15, 16); (31, 32);
+                                         (63, 64); (127, 128); (255, 256) ]
+    |> snd
+
+  let classified r =
+    if not r.on then [||]
+    else
+      let acc = ref [] in
+      let scan base map =
+        for i = slots - 1 downto 0 do
+          let v = Char.code (Bytes.get map i) in
+          if v > 0 then acc := (base + i, class_of v) :: !acc
+        done
+      in
+      scan slots r.edges;
+      scan 0 r.blocks;
+      Array.of_list !acc
+
+  let counts r =
+    let lit map = Bytes.fold_left (fun n c -> if c = '\000' then n else n + 1) 0 map in
+    if not r.on then (0, 0, 0, 0)
+    else (lit r.blocks, lit r.edges, r.block_hits, r.edge_hits)
+end
+
+type cov_op = Note of int | Burst of int * int | Off_on
+
+let gen_streams =
+  let open QCheck.Gen in
+  (* a small pool of flash pcs: the same slots and edges recur *)
+  let* pool =
+    array_size (int_range 1 6) (map (fun h -> 0x0800_0000 + (2 * h)) (int_bound 0x3fff))
+  in
+  let pc = map (fun i -> pool.(i)) (int_bound (Array.length pool - 1)) in
+  let op =
+    frequency
+      [
+        (12, map (fun p -> Note p) pc);
+        (2, map2 (fun p n -> Burst (p, n)) pc (int_range 200 700) (* past saturation *));
+        (1, return Off_on);
+      ]
+  in
+  list_size (int_range 1 6) (list_size (int_range 0 80) op)
+
+let print_streams =
+  let op = function
+    | Note p -> Printf.sprintf "%x" p
+    | Burst (p, n) -> Printf.sprintf "%x*%d" p n
+    | Off_on -> "off-on"
+  in
+  QCheck.Print.(list (list op))
+
+let prop_cov_matches_reference =
+  QCheck.Test.make ~name:"cov: logged map = scanned reference" ~count:200
+    (QCheck.make ~print:print_streams gen_streams)
+    (fun streams ->
+      let ic = Fluxarm.Icache.create () in
+      let r = Ref_map.create () in
+      let enable () =
+        Fluxarm.Icache.set_coverage ic true;
+        if not r.Ref_map.on then begin
+          Ref_map.reset r;
+          r.Ref_map.on <- true
+        end
+      in
+      enable ();
+      List.for_all
+        (fun stream ->
+          Fluxarm.Icache.cov_reset ic;
+          Ref_map.reset r;
+          List.iter
+            (function
+              | Note pc ->
+                Fluxarm.Icache.cov_note ic pc;
+                Ref_map.note r pc
+              | Burst (pc, n) ->
+                for _ = 1 to n do
+                  Fluxarm.Icache.cov_note ic pc;
+                  Ref_map.note r pc
+                done
+              | Off_on ->
+                Fluxarm.Icache.set_coverage ic false;
+                r.Ref_map.on <- false;
+                enable ())
+            stream;
+          let cc = Fluxarm.Icache.cov_counts ic in
+          Fluxarm.Icache.cov_classified ic = Ref_map.classified r
+          && ( cc.Fluxarm.Icache.cc_blocks_lit,
+               cc.Fluxarm.Icache.cc_edges_lit,
+               cc.Fluxarm.Icache.cc_block_hits,
+               cc.Fluxarm.Icache.cc_edge_hits )
+             = Ref_map.counts r)
+        streams)
+
 (* --- one genome, one board: the exec fixture --- *)
 
 let some_genome =
@@ -248,6 +391,7 @@ let suite =
   [
     Alcotest.test_case "cov: count classes" `Quick test_cov_classes;
     Alcotest.test_case "cov: edge direction" `Quick test_cov_edges;
+    QCheck_alcotest.to_alcotest prop_cov_matches_reference;
     Alcotest.test_case "bitmap invariant across superblock" `Quick
       test_bitmap_superblock_invariant;
     Alcotest.test_case "coverage is model-invisible" `Quick test_coverage_model_invisible;
