@@ -3,7 +3,7 @@
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig11   # one experiment
-     experiments: fig10 fig11 fig12 mem difftest bugs bechamel
+     dune exec bench/main.exe -- help    # unknown id: list the ids, exit 1
 
    Absolute numbers live in our simulator's units (deterministic model
    cycles, OCaml wall time); EXPERIMENTS.md records them against the
@@ -617,7 +617,8 @@ let bus () =
 (* Host-side instructions per second through [Mc.run] on a hot loop
    (30 straight-line instructions + cmp + backward branch = one cached
    block per iteration), cold (caches disabled: fetch and decode every
-   instruction, the pre-cache engine) vs warm (block dispatch). As with
+   instruction, the pre-cache engine) vs warm (the block linked to itself,
+   so the loop runs as one trace of compiled macro-ops). As with
    [bus], model cycles are charged by the Cpu methods either way, so
    fig11/difftest/latency numbers are identical whichever engine runs —
    this experiment reports host speed and cache effectiveness only. *)
@@ -627,20 +628,13 @@ let icache_iters () =
   | Some s -> (try max 100 (int_of_string s) with Failure _ -> 100_000)
   | None -> 100_000
 
-(* --superblock on|off narrows the A/B run to a single warm engine;
-   the default measures both (warm = per-block interpreter, sb = trace-
-   linked superblocks) so the table and JSON carry the sb_gain ratio
-   ci.sh gates on. *)
-let ic_sb_mode : [ `Both | `On | `Off ] ref = ref `Both
-
 type ic_row = {
   ic_arch : string;
   cold_mips : float;
-  warm_mips : float;  (** per-block interpreted engine; 0 if skipped *)
-  sb_mips : float;  (** superblock (trace-linked) engine; 0 if skipped *)
+  warm_mips : float;
   ic_hit_rate : float;
   ic_link_rate : float;
-  ic_trace_len : float;  (** mean blocks per trace under the sb engine *)
+  ic_trace_len : float;  (** mean blocks per trace *)
 }
 
 (* The loop body: 30 movw + cmp lr, r7 (lr=1, r7=0, so Z stays clear)
@@ -680,50 +674,23 @@ let icache_row ~arch ~iters mem cpu ~base =
   icache_run cpu ~base ~iters:100 (* touch the pages *);
   let t_cold = best_of_3 (fun () -> icache_run cpu ~base ~iters) in
   Fluxarm.Icache.set_enabled ic true;
-  (* one engine measurement: reset, rebuild, then time with stat deltas *)
-  let measure ~linking =
-    Fluxarm.Icache.set_linking ic linking;
-    icache_run cpu ~base ~iters:100 (* decode and publish the block *);
-    Fluxarm.Icache.reset ic;
-    icache_run cpu ~base ~iters:100 (* rebuild after reset *);
-    let s0 = Fluxarm.Icache.stats ic in
-    let t = best_of_3 (fun () -> icache_run cpu ~base ~iters) in
-    let s1 = Fluxarm.Icache.stats ic in
-    (t, s0, s1)
-  in
-  let warm_mips, ic_hit_rate =
-    if !ic_sb_mode = `On then (0.0, 0.0)
-    else begin
-      let t, s0, s1 = measure ~linking:false in
-      let hits = s1.Fluxarm.Icache.hits - s0.Fluxarm.Icache.hits in
-      let misses = s1.Fluxarm.Icache.misses - s0.Fluxarm.Icache.misses in
-      (mips t, float_of_int hits /. float_of_int (max 1 (hits + misses)))
-    end
-  in
-  let sb_mips, ic_hit_rate, ic_link_rate, ic_trace_len =
-    if !ic_sb_mode = `Off then (0.0, ic_hit_rate, 0.0, 0.0)
-    else begin
-      let t, s0, s1 = measure ~linking:true in
-      let d f = f s1 - f s0 in
-      let hits = d (fun s -> s.Fluxarm.Icache.hits) in
-      let misses = d (fun s -> s.Fluxarm.Icache.misses) in
-      let lh = d (fun s -> s.Fluxarm.Icache.link_hits) in
-      let lm = d (fun s -> s.Fluxarm.Icache.link_misses) in
-      let tr = d (fun s -> s.Fluxarm.Icache.traces) in
-      let tb = d (fun s -> s.Fluxarm.Icache.trace_blocks) in
-      let hr =
-        if !ic_sb_mode = `On then float_of_int hits /. float_of_int (max 1 (hits + misses))
-        else ic_hit_rate
-      in
-      ( mips t,
-        hr,
-        float_of_int lh /. float_of_int (max 1 (lh + lm)),
-        float_of_int tb /. float_of_int (max 1 tr) )
-    end
-  in
-  Fluxarm.Icache.set_linking ic (Fluxarm.Icache.linking_default ());
-  { ic_arch = arch; cold_mips = mips t_cold; warm_mips; sb_mips; ic_hit_rate;
-    ic_link_rate; ic_trace_len }
+  icache_run cpu ~base ~iters:100 (* decode, publish and link the block *);
+  let s0 = Fluxarm.Icache.stats ic in
+  let t_warm = best_of_3 (fun () -> icache_run cpu ~base ~iters) in
+  let s1 = Fluxarm.Icache.stats ic in
+  let d f = f s1 - f s0 in
+  let ratio a b = float_of_int a /. float_of_int (max 1 b) in
+  let hits = d (fun s -> s.Fluxarm.Icache.hits) in
+  let link_hits = d (fun s -> s.Fluxarm.Icache.link_hits) in
+  {
+    ic_arch = arch;
+    cold_mips = mips t_cold;
+    warm_mips = mips t_warm;
+    ic_hit_rate = ratio hits (hits + d (fun s -> s.Fluxarm.Icache.misses));
+    ic_link_rate = ratio link_hits (link_hits + d (fun s -> s.Fluxarm.Icache.link_misses));
+    ic_trace_len =
+      ratio (d (fun s -> s.Fluxarm.Icache.trace_blocks)) (d (fun s -> s.Fluxarm.Icache.traces));
+  }
 
 let icache_nompu ~iters =
   let m = Machine.create_arm () in
@@ -765,23 +732,17 @@ let icache_armv8m ~iters =
 
 let icache_json rows ~iters =
   let oc = open_out "BENCH_icache.json" in
-  let mode = match !ic_sb_mode with `Both -> "both" | `On -> "on" | `Off -> "off" in
   Printf.fprintf oc
-    "{\n  \"experiment\": \"icache\",\n  \"instrs_per_config\": %d,\n  \"superblock\": \
-     \"%s\",\n  \"archs\": [\n"
-    (iters * icache_instrs_per_iter) mode;
+    "{\n  \"experiment\": \"icache\",\n  \"instrs_per_config\": %d,\n  \"archs\": [\n"
+    (iters * icache_instrs_per_iter);
   let n = List.length rows in
-  let ratio a b = if b > 0.0 then a /. b else 0.0 in
   List.iteri
     (fun i r ->
       Printf.fprintf oc
-        "    {\"arch\": \"%s\", \"cold_mips\": %.2f, \"warm_mips\": %.2f, \"sb_mips\": \
-         %.2f, \"speedup\": %.2f, \"sb_gain\": %.2f, \"hit_rate\": %.4f, \"link_rate\": \
-         %.4f, \"avg_trace_len\": %.1f}%s\n"
-        r.ic_arch r.cold_mips r.warm_mips r.sb_mips
-        (ratio r.warm_mips r.cold_mips)
-        (ratio r.sb_mips r.warm_mips)
-        r.ic_hit_rate r.ic_link_rate r.ic_trace_len
+        "    {\"arch\": \"%s\", \"cold_mips\": %.2f, \"warm_mips\": %.2f, \"speedup\": \
+         %.2f, \"hit_rate\": %.4f, \"link_rate\": %.4f, \"avg_trace_len\": %.1f}%s\n"
+        r.ic_arch r.cold_mips r.warm_mips (r.warm_mips /. r.cold_mips) r.ic_hit_rate
+        r.ic_link_rate r.ic_trace_len
         (if i = n - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ]\n}\n";
@@ -791,29 +752,16 @@ let icache_bench () =
   header "Instruction throughput — decode cache + superblock dispatch"
     "not in the paper: host-side speed only; model cycles are identical by construction";
   let iters = icache_iters () in
-  Printf.printf "%d instructions per configuration (ICACHE_ITERS=%d loops x %d instrs)\n"
+  Printf.printf "%d instructions per configuration (ICACHE_ITERS=%d loops x %d instrs)\n\n"
     (iters * icache_instrs_per_iter) iters icache_instrs_per_iter;
-  (match !ic_sb_mode with
-  | `Both -> print_newline ()
-  | `On -> print_endline "--superblock on: trace-linked engine only\n"
-  | `Off -> print_endline "--superblock off: per-block engine only\n");
   let rows = [ icache_nompu ~iters; icache_armv7m ~iters; icache_armv8m ~iters ] in
-  let fcol v = if v > 0.0 then Printf.sprintf "%11.2f M/s" v else Printf.sprintf "%15s" "-" in
-  let xcol num den =
-    if num > 0.0 && den > 0.0 then Printf.sprintf "%8.2fx" (num /. den)
-    else Printf.sprintf "%9s" "-"
-  in
-  let pcol v = if v > 0.0 then Printf.sprintf "%8.1f%%" (100.0 *. v) else Printf.sprintf "%9s" "-" in
-  Printf.printf "%-10s %15s %15s %15s %9s %9s %9s %9s\n" "arch" "cold" "warm(block)"
-    "warm(sblk)" "sb gain" "hit rate" "link rt" "tracelen";
+  Printf.printf "%-10s %15s %15s %9s %9s %9s %9s\n" "arch" "cold" "warm" "speedup" "hit rate"
+    "link rt" "tracelen";
   List.iter
     (fun r ->
-      Printf.printf "%-10s %s %s %s %s %s %s %s\n" r.ic_arch (fcol r.cold_mips)
-        (fcol r.warm_mips) (fcol r.sb_mips)
-        (xcol r.sb_mips r.warm_mips)
-        (pcol r.ic_hit_rate) (pcol r.ic_link_rate)
-        (if r.ic_trace_len > 0.0 then Printf.sprintf "%9.1f" r.ic_trace_len
-         else Printf.sprintf "%9s" "-"))
+      Printf.printf "%-10s %11.2f M/s %11.2f M/s %8.2fx %8.1f%% %8.1f%% %9.1f\n" r.ic_arch
+        r.cold_mips r.warm_mips (r.warm_mips /. r.cold_mips) (100.0 *. r.ic_hit_rate)
+        (100.0 *. r.ic_link_rate) r.ic_trace_len)
     rows;
   icache_json rows ~iters;
   print_endline "\nwrote BENCH_icache.json"
@@ -1596,57 +1544,40 @@ let replay_bench () =
       close_out oc;
       print_endline "wrote BENCH_replay.json")
 
+let experiments =
+  [
+    ("fig10", fig10);
+    ("fig11", fig11);
+    ("fig11arch", fig11_arch);
+    ("fig12", fun () -> fig12 ());
+    ("mem", mem);
+    ("difftest", difftest);
+    ("bugs", bugs);
+    ("ablation", ablation);
+    ("fuzz", fuzz);
+    ("latency", latency);
+    ("bus", bus);
+    ("icache", icache_bench);
+    ("obs", obs_bench);
+    ("chaos", chaos_bench);
+    ("snapshot", snapshot_bench);
+    ("fleet", fleet_bench);
+    ("fabric", fabric_bench);
+    ("fuzzcov", fuzzcov_bench);
+    ("replay", replay_bench);
+    ("bechamel", bechamel_run);
+  ]
+
 let usage () =
-  print_endline
-    "usage: main.exe [--superblock on|off] \
-     [fig10|fig11|fig12|mem|difftest|bugs|bus|icache|obs|chaos|snapshot|fleet|fabric|fuzzcov|replay|bechamel|all]";
-  print_endline
-    "  --superblock on|off   icache: measure only the trace-linked (on) or\n\
-    \                        per-block (off) warm engine; default measures both"
+  Printf.printf "usage: main.exe [%s|all]\n" (String.concat "|" (List.map fst experiments))
 
 let () =
-  let experiments =
-    [
-      ("fig10", fig10);
-      ("fig11", fig11);
-      ("fig11arch", fig11_arch);
-      ("fig12", fun () -> fig12 ());
-      ("mem", mem);
-      ("difftest", difftest);
-      ("bugs", bugs);
-      ("ablation", ablation);
-      ("fuzz", fuzz);
-      ("latency", latency);
-      ("bus", bus);
-      ("icache", icache_bench);
-      ("obs", obs_bench);
-      ("chaos", chaos_bench);
-      ("snapshot", snapshot_bench);
-      ("fleet", fleet_bench);
-      ("fabric", fabric_bench);
-      ("fuzzcov", fuzzcov_bench);
-      ("replay", replay_bench);
-      ("bechamel", bechamel_run);
-    ]
-  in
   (* The determinism CI runs the same experiments under TICKTOCK_OBS unset /
      "1" / "disabled" and diffs the outputs byte-for-byte. *)
   (match Sys.getenv_opt "TICKTOCK_OBS" with
   | Some s -> Obs.Config.set_auto (Obs.Config.of_string s)
   | None -> ());
-  let rec strip_flags = function
-    | "--superblock" :: v :: rest ->
-      (match v with
-      | "on" -> ic_sb_mode := `On
-      | "off" -> ic_sb_mode := `Off
-      | _ ->
-        usage ();
-        exit 1);
-      strip_flags rest
-    | x :: rest -> x :: strip_flags rest
-    | [] -> []
-  in
-  match strip_flags (List.tl (Array.to_list Sys.argv)) with
+  match List.tl (Array.to_list Sys.argv) with
   | [] | [ "all" ] -> List.iter (fun (_, f) -> f ()) experiments
   | names when List.for_all (fun n -> List.mem_assoc n experiments) names ->
     List.iter (fun n -> List.assoc n experiments ()) names

@@ -24,8 +24,7 @@ type entry = {
 type term =
   | Term_fall  (* no control transfer (cap/granule end): successor is fall_pc *)
   | Term_cond  (* B_cond: successor is fall_pc or taken_pc *)
-  | Term_indirect  (* Pop with PC: dynamic target, served by the inline cache *)
-  | Term_exit  (* isb/svc/bx: never linked (isb is the privilege commit point) *)
+  | Term_exit  (* isb/svc/bx/pop-pc: never linked (isb is the privilege commit point) *)
 
 type block = {
   start : Word32.t;
@@ -44,8 +43,8 @@ type block = {
      instruction. Parallel arrays give the instruction count of each
      macro-op and whether it can write memory (and hence bump the code
      generation — the only points where a mid-block re-validation is
-     needed). Only the linking engine executes these; the unlinked engine
-     interprets [entries] exactly as before. *)
+     needed). [entries] stay the interpreted form, for a dispatch whose
+     remaining fuel is shorter than the block. *)
   ops : (unit -> stop option) array;
   wmask : bool array;
   mcount : int array;
@@ -57,7 +56,6 @@ type block = {
   taken_pc : Word32.t;  (* meaningful only when term = Term_cond *)
   mutable link_next : block option;
   mutable link_taken : block option;
-  ind : block option array;  (* 4-entry indirect-target inline cache ([||] unless Term_indirect) *)
 }
 
 let no_stamp = min_int
@@ -99,7 +97,6 @@ type cov = {
 
 type t = {
   mutable enabled : bool;
-  mutable linking : bool;
   mutable cov : cov option;
   blocks : block option array;
   dec_addr : int array;  (* -1 = empty *)
@@ -120,15 +117,9 @@ type t = {
   trace_hist : int array;
 }
 
-let linking_default () =
-  match Sys.getenv_opt "TICKTOCK_SUPERBLOCK" with
-  | Some ("0" | "off" | "false" | "no") -> false
-  | _ -> true
-
 let create () =
   {
     enabled = true;
-    linking = linking_default ();
     cov = None;
     blocks = Array.make block_slots None;
     dec_addr = Array.make dec_slots (-1);
@@ -151,8 +142,6 @@ let create () =
 
 let set_enabled t v = t.enabled <- v
 let enabled t = t.enabled
-let set_linking t v = t.linking <- v
-let linking t = t.linking
 
 (* --- coverage --- *)
 
@@ -280,8 +269,7 @@ let sever_links t =
       | None -> ()
       | Some b ->
         b.link_next <- None;
-        b.link_taken <- None;
-        if Array.length b.ind > 0 then Array.fill b.ind 0 (Array.length b.ind) None)
+        b.link_taken <- None)
     t.blocks
 
 let reset (t : t) =
@@ -325,17 +313,6 @@ let stats (t : t) =
     traces = t.traces;
     trace_blocks = t.trace_blocks;
   }
-
-let hit_rate (t : t) =
-  let probes = t.block_hits + t.block_misses in
-  if probes = 0 then 0.0 else float_of_int t.block_hits /. float_of_int probes
-
-let link_hit_rate (t : t) =
-  let probes = t.link_hits + t.link_misses in
-  if probes = 0 then 0.0 else float_of_int t.link_hits /. float_of_int probes
-
-let avg_trace_len (t : t) =
-  if t.traces = 0 then 0.0 else float_of_int t.trace_blocks /. float_of_int t.traces
 
 type trace_hist = {
   th_count : int;
@@ -424,8 +401,7 @@ let publish_block t ~gen pc entries ~compile =
     let term, taken_pc =
       match last.instr with
       | Thumb.B_cond (_, off) -> (Term_cond, Word32.add last.next_pc ((off * 2) + 2))
-      | Thumb.Pop (_, true) -> (Term_indirect, 0)
-      | Thumb.Isb | Thumb.Svc _ | Thumb.Bx _ -> (Term_exit, 0)
+      | Thumb.Isb | Thumb.Svc _ | Thumb.Bx _ | Thumb.Pop (_, true) -> (Term_exit, 0)
       | _ -> (Term_fall, 0)
     in
     let ops, wmask, mcount = compile entries in
@@ -447,6 +423,5 @@ let publish_block t ~gen pc entries ~compile =
           taken_pc;
           link_next = None;
           link_taken = None;
-          ind = (if term = Term_indirect then Array.make 4 None else [||]);
         }
   end

@@ -12,10 +12,10 @@
       probe and one execute-permission stamp check per run;
     - {e trace links} (QEMU-TB-chaining style): once a block's terminator
       resolves, the successor block is linked directly into the
-      predecessor — separate fall-through and taken slots, plus a small
-      inline cache for indirect (pop-pc) exits — so hot loops execute as
-      chained superblocks with a single stamp check per {e trace entry}
-      and per newly joined block, not per iteration.
+      predecessor — separate fall-through and taken slots — so hot loops
+      execute as chained superblocks of compiled macro-ops with a single
+      stamp check per {e trace entry} and per newly joined block, not per
+      iteration.
 
     Soundness rests on two invalidation channels, both observable-behaviour
     preserving (see docs/VERIFICATION.md):
@@ -35,9 +35,9 @@
     Trace links add no third channel: a link is followed only if the
     successor's [built_gen] equals the trace's code generation {e and} its
     stamp triple equals the triple hoisted at trace entry, so anything
-    that would have stopped the per-block dispatcher (store into a linked
-    block, MPU reprogramming, privilege flip, snapshot restore) makes the
-    link validation fail and drops execution back to the full dispatcher.
+    that would have stopped a fresh dispatch (store into a linked block,
+    MPU reprogramming, privilege flip, snapshot restore) makes the link
+    validation fail and drops execution back to the full dispatcher.
     Links are host-side cache state only: no trace event, metric
     ({!Obs.Metrics.model_only}), snapshot byte or fingerprint depends on
     them. *)
@@ -60,11 +60,12 @@ type entry = {
 }
 
 (** How a block hands control onward, decided at publish time from its
-    final instruction. [Term_exit] blocks (isb/svc/bx) are never linked:
-    svc/bx stop the engine, and isb is the commit point for pending
+    final instruction. [Term_exit] blocks (isb/svc/bx/pop-pc) are never
+    linked: svc/bx stop the engine; isb is the commit point for pending
     CONTROL writes — the only place privilege can change inside a run —
-    so the trace must re-enter the dispatcher and re-stamp. *)
-type term = Term_fall | Term_cond | Term_indirect | Term_exit
+    so the trace must re-enter the dispatcher and re-stamp; and a pop into
+    pc has a dynamic target, which the dispatcher resolves. *)
+type term = Term_fall | Term_cond | Term_exit
 
 type block = {
   start : Word32.t;
@@ -75,8 +76,9 @@ type block = {
   mutable stamp_gen : int;
   mutable stamp_priv : int;
   ops : (unit -> stop option) array;
-      (** compiled macro-ops ({!Cpu.compile_block}); the linking engine's
-          execution form — the unlinked engine interprets [entries] *)
+      (** compiled macro-ops ({!Cpu.compile_block}), the execution form;
+          [entries] are interpreted only when fuel runs out inside the
+          block *)
   wmask : bool array;  (** macro-op may write memory (re-check code gen after) *)
   mcount : int array;  (** instructions per macro-op *)
   term : term;
@@ -84,9 +86,6 @@ type block = {
   taken_pc : Word32.t;  (** B_cond target; meaningful only for [Term_cond] *)
   mutable link_next : block option;  (** fall-through successor *)
   mutable link_taken : block option;  (** taken-branch successor *)
-  ind : block option array;
-      (** 4-entry direct-mapped indirect-target inline cache, indexed by
-          [(pc lsr 1) land 3]; [[||]] unless [Term_indirect] *)
 }
 
 val no_stamp : int
@@ -98,23 +97,10 @@ val create : unit -> t
 
 val set_enabled : t -> bool -> unit
 (** Disabled: {!Mc.run} decodes every instruction from scratch (the
-    pre-cache slow path). For differential tests and cold benchmarks. *)
+    pre-cache slow path) — the lockstep reference for differential tests,
+    and the cold side of the icache benchmark. *)
 
 val enabled : t -> bool
-
-val set_linking : t -> bool -> unit
-(** Linking off: {!Mc.run} uses the per-block interpreted engine (PR 2
-    behaviour, byte-identical) — the A/B baseline for the superblock
-    benchmarks and lockstep tests. Default comes from the
-    [TICKTOCK_SUPERBLOCK] environment variable ([0]/[off]/[false]/[no]
-    disable; anything else, including unset, enables). *)
-
-val linking : t -> bool
-
-val linking_default : unit -> bool
-(** What {!create} would pick right now — the [TICKTOCK_SUPERBLOCK]
-    environment default. The A/B benchmark uses it to restore the ambient
-    engine after forcing each side. *)
 
 (** {1 Coverage map}
 
@@ -148,7 +134,7 @@ val cov_note : t -> Word32.t -> unit
 (** Record one block dispatch at [pc]: bump the block slot
     [hash pc] and the edge slot [hash pc lxor (prev lsr 1)], AFL-style.
     Called by {!Mc.run} once per block entry, identically on the cold
-    (build), warm (per-block) and linked (superblock) paths. *)
+    (build) and warm (trace) paths. *)
 
 val cov_classified : t -> (int * int) array
 (** The bucketed coverage bitmap, sparse: [(slot, class)] pairs in
@@ -172,8 +158,8 @@ val cov_counts : t -> cov_counts
 (** Counted over the lit-slot log. All zero when coverage is off. *)
 
 val reset : t -> unit
-(** Drop every cached decode and block, sever every trace link (including
-    indirect inline-cache slots), and zero the statistics. *)
+(** Drop every cached decode and block, sever every trace link, and zero
+    the statistics. *)
 
 type stats = {
   hits : int;  (** block dispatches served from the cache *)
@@ -188,10 +174,6 @@ type stats = {
 }
 
 val stats : t -> stats
-val hit_rate : t -> float
-val link_hit_rate : t -> float
-val avg_trace_len : t -> float
-(** Mean blocks per trace ([trace_blocks / traces]); 0 before any trace. *)
 
 type trace_hist = {
   th_count : int;

@@ -217,11 +217,12 @@ let stamp_ok mem (b : Icache.block) =
       end
     end
 
-(* Execute a stamped block's entries. Fuel is charged per instruction so
-   [Out_of_fuel] lands on exactly the same instruction as single-stepping.
-   Bails out (without a stop) if an executed store invalidated the code
-   generation — the remaining decoded entries may be stale. Returns
-   (instructions executed, stop). *)
+(* Interpret a stamped block's entries — the form a trace uses when the
+   remaining fuel is shorter than the block. Fuel is charged per
+   instruction so [Out_of_fuel] lands on exactly the same instruction as
+   single-stepping. Bails out (without a stop) if an executed store
+   invalidated the code generation — the remaining decoded entries may be
+   stale. Returns (instructions executed, stop). *)
 let exec_block cpu mem (b : Icache.block) fuel =
   let gen0 = b.Icache.built_gen in
   let entries = b.Icache.entries in
@@ -279,21 +280,13 @@ let run ?(fuel = 10_000) cpu =
     slow fuel
   end
   else begin
-    let linking = Icache.linking ic in
     let compile = Cpu.compile_block cpu ~fallback:(fun i -> exec cpu i) in
     let rec loop n =
       if n <= 0 then Out_of_fuel
       else begin
         let pc = Cpu.get_special cpu Regs.Pc in
         match Icache.find_block ic ~gen:(Memory.code_generation mem) pc with
-        | Some b when stamp_ok mem b ->
-          if linking then trace b n
-          else begin
-            Icache.cov_note ic pc;
-            let used, stop = exec_block cpu mem b n in
-            Icache.record_hit ic used;
-            (match stop with Some s -> s | None -> loop (n - used))
-          end
+        | Some b when stamp_ok mem b -> trace b n
         | _ -> build pc n
       end
     (* Superblock trace: execute the dispatched block, then follow (or
@@ -331,16 +324,16 @@ let run ?(fuel = 10_000) cpu =
               && s.Icache.stamp_priv = pv))
       in
       (* install: the dispatcher's own dispatch condition (find + stamp),
-         so a freshly linked successor was checked exactly as an unlinked
+         so a freshly linked successor was checked exactly as a fresh
          dispatch would have checked it *)
       let install pc' =
         match Icache.find_block ic ~gen:gen0 pc' with
         | Some s when stamp_ok mem s && valid s pc' -> Some s
         | _ -> None
       in
-      (* coverage sees one note per block entry here, exactly as the
-         unlinked dispatcher would have produced — the fuzzer's bitmap is
-         superblock-invariant *)
+      (* coverage sees one note per block entry here, exactly as [build]
+         notes one per block it records — the fuzzer's bitmap does not
+         depend on which path ran a block *)
       let rec chain b n blocks =
         Icache.cov_note ic b.Icache.start;
         let used, stop =
@@ -380,23 +373,6 @@ let run ?(fuel = 10_000) cpu =
                 | Some s ->
                   if taken then b.Icache.link_taken <- Some s
                   else b.Icache.link_next <- Some s;
-                  chain s n (blocks + 1)
-                | None -> exit_trace n blocks))
-            | Icache.Term_indirect -> (
-              let ind = b.Icache.ind in
-              let idx = (pc' lsr 1) land 3 in
-              match Array.unsafe_get ind idx with
-              | Some s when valid s pc' ->
-                Icache.record_link_hit ic;
-                chain s n (blocks + 1)
-              | stale -> (
-                Icache.record_link_miss ic;
-                (match stale with
-                | Some _ -> Icache.record_link_flush ic
-                | None -> ());
-                match install pc' with
-                | Some s ->
-                  Array.unsafe_set ind idx (Some s);
                   chain s n (blocks + 1)
                 | None -> exit_trace n blocks))
           end

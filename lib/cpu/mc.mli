@@ -11,20 +11,19 @@
 
     Flash is overwhelmingly immutable between reloads, so the engine keeps
     a decoded-instruction cache and a basic-block cache (see {!Icache}) on
-    each {!Cpu.t}. [run] decodes straight-line runs once, then replays them
-    with a single cache probe and a single MPU execute decision per block.
-    With trace linking enabled (the default; see {!Icache.set_linking}),
-    blocks additionally chain directly into their successors and execute
-    as compiled superblocks — one permission stamp check per trace entry
-    and per newly joined block, with the bus fast path hoisted across the
-    trace ({!Memory.hoist}) and indirect (pop-pc) exits served by a small
-    inline cache. All of it is {e semantically invisible}: cycle counts,
-    fault ordering, fuel accounting and stop values are bit-identical to
-    the uncached engine. Invalidation is automatic — stores and loader
-    writes into pages that ever fed the decoder bump a code generation
-    ({!Memory.code_generation}), and MPU reprogramming or privilege changes
-    invalidate only the per-block permission stamp, not the decoded
-    bodies; trace links revalidate both on every follow. *)
+    each {!Cpu.t}. [run] decodes straight-line runs once; after that every
+    dispatch enters a trace: blocks chain directly into their successors
+    and execute as compiled superblocks — one permission stamp check per
+    trace entry and per newly joined block, with the bus fast path hoisted
+    across the trace ({!Memory.hoist}). All of it is {e semantically
+    invisible}: cycle counts, fault ordering, fuel accounting and stop
+    values are bit-identical to the uncached engine
+    ([Icache.set_enabled false]), the lockstep reference. Invalidation is
+    automatic — stores and loader writes into pages that ever fed the
+    decoder bump a code generation ({!Memory.code_generation}), and MPU
+    reprogramming or privilege changes invalidate only the per-block
+    permission stamp, not the decoded bodies; trace links revalidate both
+    on every follow. *)
 
 type stop = Icache.stop =
   | Svc_taken of int  (** an [svc #imm] was executed; PC points after it *)

@@ -17,10 +17,11 @@
       generation carrying exactly the inputs of the merge fold — accepted
       entries, newly lit bits, new crashers — so resume replays the fold
       and continues bit-identically;
-    - {e across superblock on/off and cov on/off}: the coverage hooks
-      note the same (block, edge) stream from the linked and unlinked
-      engines, and are host-side observation — model-visible behaviour is
-      byte-identical with coverage on or off (docs/FUZZING.md).
+    - {e across cold and warm icaches, and cov on/off}: the coverage
+      hooks note the same (block, edge) stream whether a block is being
+      built or runs in a linked trace, and are host-side observation —
+      model-visible behaviour is byte-identical with coverage on or off
+      (docs/FUZZING.md).
 
     Crashers are triaged against {!Verify.Taxonomy}; [ticktock fuzzcov
     --bundles] records each as a TICKRPL bundle ([Replay.Record.of_fuzzcov])

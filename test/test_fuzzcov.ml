@@ -2,9 +2,8 @@
 
    - the icache coverage map: bucket classification follows the
      power-of-two ladder, reset really zeroes, and the note stream is
-     identical on the per-block and superblock engines (the two engines
-     dispatch the same pc sequence — PR 6's invariant — so the bitmap
-     cannot depend on TICKTOCK_SUPERBLOCK);
+     identical whether blocks are being built (cold icache) or run in
+     linked traces (warm), so the bitmap cannot depend on cache state;
    - host-flag invisibility: switching coverage on changes nothing the
      model can see — console output and model-only metrics are
      byte-identical with the map on or off;
@@ -217,11 +216,8 @@ let prop_cov_matches_reference =
 let some_genome =
   { Fuzzcov.Input.in_ticks = 1500; in_ops = Array.init 40 (fun i -> (i * 7919) + 3) }
 
-let run_genome ?(linking = None) board g =
+let run_genome board g =
   let k = Fuzzcov.Engine.make_board board in
-  (match (linking, k.Instance.icache ()) with
-  | Some l, Some ic -> Fluxarm.Icache.set_linking ic l
-  | _ -> ());
   let r =
     Verify.Violation.with_enabled
       (Fuzzcov.Engine.contracts_for board)
@@ -229,16 +225,51 @@ let run_genome ?(linking = None) board g =
   in
   (k, r)
 
+(* A counted loop: [movw r0, #40] falls into the head [subw r0, #1;
+   mov lr, r0; cmp lr, r5; beq exit], the body [addw r1, #3; cmp lr, r5;
+   bne head] loops back, and exit is [svc 0]. With r5 = 0 the beq leaves
+   once r0 reaches 0. *)
+let counted_loop =
+  let module T = Fluxarm.Thumb in
+  let module R = Fluxarm.Regs in
+  let head = [ T.Subw (R.R0, R.R0, 1); T.Mov_to_lr R.R0; T.Cmp_lr R.R5 ] in
+  let body = [ T.Addw (R.R1, R.R1, 3); T.Cmp_lr R.R5 ] in
+  let bytes l = List.fold_left (fun a i -> a + T.size_bytes i) 0 l in
+  (* a b<cond> at address a jumps to a + 4 + 2 * off *)
+  (T.Movw (R.R0, 40) :: head)
+  @ [ T.B_cond (`Eq, bytes body / 2) ]
+  @ body
+  @ [ T.B_cond (`Ne, (-(bytes head + 2 + bytes body) - 4) / 2); T.Svc 0 ]
+
 let test_bitmap_superblock_invariant () =
-  (* same genome, superblock engine forced on vs off: dispatch streams are
-     identical (PR 6), so the classified bitmap must be too *)
-  let _, on_ = run_genome ~linking:(Some true) "ticktock-arm-mc" some_genome in
-  let _, off = run_genome ~linking:(Some false) "ticktock-arm-mc" some_genome in
-  check_bool "bitmaps identical across superblock on/off" true
-    (on_.Fuzzcov.Engine.ex_cov = off.Fuzzcov.Engine.ex_cov);
-  check_int "hit totals identical too" on_.Fuzzcov.Engine.ex_hits off.Fuzzcov.Engine.ex_hits;
-  check_bool "the genome actually lit something" true
-    (Array.length on_.Fuzzcov.Engine.ex_cov > 0)
+  (* one program, coverage on, run twice on one CPU: cold, where every
+     block is built the first time it is reached, then warm, where every
+     block enters through a trace and follows its links — the two
+     dispatch paths must note the same (block, edge) stream *)
+  let mem = Memory.create () in
+  let cpu = Fluxarm.Cpu.create mem in
+  let ic = Fluxarm.Cpu.icache cpu in
+  ignore (Fluxarm.Thumb.assemble mem 0x1000 counted_loop);
+  Fluxarm.Icache.set_coverage ic true;
+  let run () =
+    Fluxarm.Icache.cov_reset ic;
+    Fluxarm.Cpu.set_special_raw cpu Fluxarm.Regs.Pc 0x1000;
+    let s0 = Fluxarm.Icache.stats ic in
+    check_bool "loop ran to its svc" true (Fluxarm.Mc.run cpu = Fluxarm.Mc.Svc_taken 0);
+    let s1 = Fluxarm.Icache.stats ic in
+    ( Fluxarm.Icache.cov_classified ic,
+      Fluxarm.Icache.cov_counts ic,
+      s1.Fluxarm.Icache.misses - s0.Fluxarm.Icache.misses,
+      s1.Fluxarm.Icache.link_hits - s0.Fluxarm.Icache.link_hits )
+  in
+  let cov_cold, counts_cold, built_cold, _ = run () in
+  let cov_warm, counts_warm, built_warm, links_warm = run () in
+  check_bool "cold run built its blocks" true (built_cold > 0);
+  check_int "warm run built none" 0 built_warm;
+  check_bool "warm run followed links" true (links_warm > 0);
+  check_bool "bitmaps identical cold and warm" true (cov_cold = cov_warm);
+  check_bool "counts identical cold and warm" true (counts_cold = counts_warm);
+  check_bool "the loop lit a class above 1" true (Array.exists (fun (_, c) -> c > 1) cov_warm)
 
 let test_coverage_model_invisible () =
   (* the same input with the coverage map on vs never touched: everything

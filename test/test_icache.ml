@@ -3,9 +3,10 @@
    underlying bytes change (stores, loader reloads), and a cached block's
    execute stamp must die the instant the MPU or privilege changes —
    otherwise the cache would execute stale or forbidden code. The lockstep
-   round then checks the cache is semantically invisible wholesale:
+   rounds then check the cache is semantically invisible wholesale:
    registers, stop reason and model cycles identical to the uncached
-   engine on randomized programs, including self-modifying ones. *)
+   engine (the reference) on randomized programs, including
+   self-modifying ones, at every fuel value. *)
 
 open Ticktock
 module C = Fluxarm.Cpu
@@ -182,7 +183,6 @@ let warm_pair cpu mem base =
 let test_store_severs_link () =
   let mem, cpu = bare () in
   let ic = C.icache cpu in
-  I.set_linking ic true;
   let base = 0x1000 in
   warm_pair cpu mem base;
   let b_addr = pair_b_addr base (pair_prog 2) in
@@ -206,7 +206,6 @@ let test_store_severs_link () =
 let test_reset_severs_links () =
   let mem, cpu = bare () in
   let ic = C.icache cpu in
-  I.set_linking ic true;
   let base = 0x1000 in
   warm_pair cpu mem base;
   let gen = Memory.code_generation mem in
@@ -237,7 +236,6 @@ let test_mpu_revoke_linked_successor () =
   let mem = m.Machine.arm_mem and mpu = m.Machine.arm_mpu in
   let cpu = m.Machine.arm_cpu in
   let ic = C.icache cpu in
-  I.set_linking ic true;
   C.set_special_raw cpu R.Control 1;
   let base = 0x2000_0000 in
   (* two 32-byte granules: straight-line code splits into block A (first
@@ -271,12 +269,12 @@ let test_mpu_revoke_linked_successor () =
 
 (* privilege can flip only at isb (the CONTROL commit point), so blocks
    ending in isb terminate the trace and must never link — and the flip
-   must behave identically with and without linking *)
+   must behave identically on the cached and the uncached engine *)
 let test_privilege_flip_ends_trace () =
-  let go linking =
+  let go cached =
     let mem, cpu = bare () in
     let ic = C.icache cpu in
-    I.set_linking ic linking;
+    I.set_enabled ic cached;
     let base = 0x1000 in
     ignore
       (T.assemble mem base
@@ -295,7 +293,7 @@ let test_privilege_flip_ends_trace () =
     C.isb cpu;
     check_bool "warm run" true (run_from cpu base = Fluxarm.Mc.Svc_taken 5);
     let cycles = Cycles.read Cycles.global - c0 in
-    if linking then begin
+    if cached then begin
       match I.find_block ic ~gen:(Memory.code_generation mem) base with
       | None -> Alcotest.fail "expected a cached block at the isb block"
       | Some b ->
@@ -306,19 +304,18 @@ let test_privilege_flip_ends_trace () =
     end;
     (C.get cpu R.R2, C.get cpu R.R3, C.privileged cpu, cycles)
   in
-  let linked = go true and unlinked = go false in
-  check_bool "linked and per-block engines agree across the flip" true (linked = unlinked)
+  let cached = go true and uncached = go false in
+  check_bool "cached and uncached engines agree across the flip" true (cached = uncached)
 
-(* the full app suite must be fingerprint-identical between the linked and
-   per-block engines: console transcript, tick count, model-visible
+(* the full app suite must be fingerprint-identical between the cached
+   and uncached engines: console transcript, tick count, model-visible
    metrics and the exported trace (the arm-mc board is the one
    configuration that executes through Mc) *)
-let suite_fingerprint ~linking =
+let suite_fingerprint ~cached =
   Verify.Violation.set_enabled false;
   let r = Obs.Recorder.create () in
   let m, k = Boards.make_ticktock_arm_mc ~obs:r () in
-  let ic = C.icache m.Machine.arm_cpu in
-  I.set_linking ic linking;
+  I.set_enabled (C.icache m.Machine.arm_cpu) cached;
   let inst = Boards.Ticktock_arm.instance k in
   ignore (Apps.Difftest.run_suite inst);
   ( inst.Instance.console (),
@@ -327,12 +324,12 @@ let suite_fingerprint ~linking =
     Obs.Chrome.to_json ~name:"sb" r )
 
 let test_suite_lockstep () =
-  let con_l, ticks_l, met_l, trace_l = suite_fingerprint ~linking:true in
-  let con_u, ticks_u, met_u, trace_u = suite_fingerprint ~linking:false in
-  Alcotest.(check string) "console identical" con_u con_l;
-  check_int "ticks identical" ticks_u ticks_l;
-  Alcotest.(check string) "model metrics identical" met_u met_l;
-  Alcotest.(check string) "trace export identical" trace_u trace_l
+  let con_c, ticks_c, met_c, trace_c = suite_fingerprint ~cached:true in
+  let con_u, ticks_u, met_u, trace_u = suite_fingerprint ~cached:false in
+  Alcotest.(check string) "console identical" con_u con_c;
+  check_int "ticks identical" ticks_u ticks_c;
+  Alcotest.(check string) "model metrics identical" met_u met_c;
+  Alcotest.(check string) "trace export identical" trace_u trace_c
 
 (* --- randomized lockstep: cached vs uncached engines --- *)
 
@@ -368,43 +365,100 @@ let random_program rng =
     in
     body @ tail @ [ T.B_cond (`Ne, (-bytes - 4) / 2) ]
 
-let lockstep_run prog =
-  let go ~cached ~linking =
-    let mem, cpu = bare () in
-    I.set_enabled (C.icache cpu) false;
-    ignore (T.assemble mem 0x1000 prog);
-    I.set_enabled (C.icache cpu) cached;
-    I.set_linking (C.icache cpu) linking;
-    C.set cpu R.R6 (Range.start Layout.app_sram);
-    C.set cpu R.R7 0x1000 (* self-modifying stores land here *);
-    C.pseudo_ldr_special cpu R.Lr 1;
-    let c0 = Cycles.read Cycles.global in
-    let stop = run_from cpu 0x1000 in
-    let cycles = Cycles.read Cycles.global - c0 in
-    let regs = List.map (C.get cpu) R.[ R0; R1; R2; R3; R4; R5; R6; R7 ] in
-    (stop, regs, C.get_special cpu R.Pc, C.get_special cpu R.Psr, cycles)
-  in
-  (go ~cached:true ~linking:true, go ~cached:true ~linking:false, go ~cached:false ~linking:false)
+(* A CPU with [prog] at 0x1000, on the cached or the uncached engine. *)
+let lockstep_cpu ~cached prog =
+  let mem, cpu = bare () in
+  I.set_enabled (C.icache cpu) false;
+  ignore (T.assemble mem 0x1000 prog);
+  I.set_enabled (C.icache cpu) cached;
+  C.set cpu R.R6 (Range.start Layout.app_sram);
+  C.set cpu R.R7 0x1000 (* self-modifying stores land here *);
+  C.set_sp cpu (Range.start Layout.app_sram + 0x800);
+  C.pseudo_ldr_special cpu R.Lr 1;
+  cpu
+
+(* One [Mc.run] from the CPU's current pc, with everything it can
+   observably change: stop, registers, pc, psr and cycles charged. *)
+let observed_run ~fuel cpu =
+  let c0 = Cycles.read Cycles.global in
+  let stop = Fluxarm.Mc.run ~fuel cpu in
+  let cycles = Cycles.read Cycles.global - c0 in
+  let regs = C.sp cpu :: List.map (C.get cpu) R.[ R0; R1; R2; R3; R4; R5; R6; R7 ] in
+  (stop, regs, C.get_special cpu R.Pc, C.get_special cpu R.Psr, cycles)
+
+let check_lockstep name (stop_c, regs_c, pc_c, psr_c, cyc_c) (stop_u, regs_u, pc_u, psr_u, cyc_u) =
+  check_bool (name ^ ": same stop") true (stop_c = stop_u);
+  check_bool (name ^ ": same registers") true (regs_c = regs_u);
+  check_int (name ^ ": same pc") pc_u pc_c;
+  check_int (name ^ ": same psr") psr_u psr_c;
+  check_int (name ^ ": same cycles") cyc_u cyc_c
 
 let test_lockstep_fuzz () =
   for seed = 1 to 12 do
     let rng = Random.State.make [| seed; 0x1CAC4E |] in
     let prog = random_program rng in
-    let (stop_l, regs_l, pc_l, psr_l, cyc_l),
-        (stop_c, regs_c, pc_c, psr_c, cyc_c),
-        (stop_u, regs_u, pc_u, psr_u, cyc_u) =
-      lockstep_run prog
+    let run cached =
+      let cpu = lockstep_cpu ~cached prog in
+      C.set_special_raw cpu R.Pc 0x1000;
+      observed_run ~fuel:10_000 cpu
     in
-    let name fmt = Printf.sprintf fmt seed in
-    check_bool (name "seed %d: same stop") true (stop_c = stop_u && stop_l = stop_u);
-    check_bool (name "seed %d: same registers") true (regs_c = regs_u && regs_l = regs_u);
-    check_int (name "seed %d: same pc (per-block)") pc_u pc_c;
-    check_int (name "seed %d: same pc (superblock)") pc_u pc_l;
-    check_int (name "seed %d: same psr (per-block)") psr_u psr_c;
-    check_int (name "seed %d: same psr (superblock)") psr_u psr_l;
-    check_int (name "seed %d: same cycles (per-block)") cyc_u cyc_c;
-    check_int (name "seed %d: same cycles (superblock)") cyc_u cyc_l
+    check_lockstep (Printf.sprintf "seed %d" seed) (run true) (run false)
   done
+
+(* Fuel running out inside a block is where a trace falls back to the
+   interpreted [exec_block], and running out while a block is being built
+   publishes a partial block. Each program runs as a sequence of runs with
+   fuel 1..90, 90..1 and a few large values on one cached and one
+   uncached CPU, compared after every run; a run that stops for any
+   reason other than fuel restarts the program at 0x1000. *)
+let test_lockstep_every_fuel () =
+  let fuels =
+    List.init 90 (fun i -> i + 1) @ List.init 90 (fun i -> 90 - i) @ [ 500; 1000; 3000; 10_000 ]
+  in
+  for seed = 1 to 40 do
+    let rng = Random.State.make [| seed; 0xF0E1 |] in
+    let prog = random_program rng in
+    let cached = lockstep_cpu ~cached:true prog and uncached = lockstep_cpu ~cached:false prog in
+    let restart = ref true in
+    List.iteri
+      (fun i fuel ->
+        if !restart then
+          List.iter (fun cpu -> C.set_special_raw cpu R.Pc 0x1000) [ cached; uncached ];
+        let ((stop, _, _, _, _) as c) = observed_run ~fuel cached in
+        check_lockstep (Printf.sprintf "seed %d run %d (fuel %d)" seed i fuel) c
+          (observed_run ~fuel uncached);
+        restart := stop <> Fluxarm.Mc.Out_of_fuel)
+      fuels
+  done
+
+(* A pop into pc has a dynamic target, so its block is a trace exit and
+   the dispatcher resolves the target. [push {r0, lr}] with lr at [label],
+   then [pop {r0, pc}] over one skipped instruction to the svc: four runs
+   on one cached CPU (build, then traces) each match the uncached engine. *)
+let test_pop_pc_lockstep () =
+  let prog label =
+    [ T.Movw (R.R1, label); T.Mov_to_lr R.R1; T.Movw (R.R0, 7); T.Push ([ R.R0 ], true);
+      T.Movw (R.R0, 0); T.Pop ([ R.R0 ], true); T.Movw (R.R2, 0xbad); T.Svc 3 ]
+  in
+  (* the label is the 2-byte svc at the end *)
+  let label = 0x1000 + List.fold_left (fun a i -> a + T.size_bytes i) 0 (prog 0) - 2 in
+  let prog = prog label in
+  let cached = lockstep_cpu ~cached:true prog and uncached = lockstep_cpu ~cached:false prog in
+  for run = 1 to 4 do
+    let go cpu =
+      C.set_special_raw cpu R.Pc 0x1000;
+      observed_run ~fuel:10_000 cpu
+    in
+    let ((stop, regs, _, _, _) as c) = go cached in
+    check_lockstep (Printf.sprintf "run %d" run) c (go uncached);
+    check_bool "stopped at the svc" true (stop = Fluxarm.Mc.Svc_taken 3);
+    check_int "pop restored r0" 7 (List.nth regs 1);
+    check_int "the skipped instruction did not run" 0 (C.get cached R.R2)
+  done;
+  let ic = C.icache cached in
+  match I.find_block ic ~gen:(Memory.code_generation (C.memory cached)) 0x1000 with
+  | None -> Alcotest.fail "expected a cached block ending in the pop"
+  | Some b -> check_bool "a pop-pc block is a trace exit" true (b.I.term = I.Term_exit)
 
 let suite =
   [
@@ -416,6 +470,8 @@ let suite =
       test_block_splits_at_granule;
     Alcotest.test_case "lockstep fuzz: linked = per-block = uncached" `Quick
       test_lockstep_fuzz;
+    Alcotest.test_case "lockstep at every fuel value" `Quick test_lockstep_every_fuel;
+    Alcotest.test_case "pop {.., pc} exits in lockstep" `Quick test_pop_pc_lockstep;
     Alcotest.test_case "store into linked successor severs chain" `Quick
       test_store_severs_link;
     Alcotest.test_case "reset severs trace links" `Quick test_reset_severs_links;

@@ -216,32 +216,27 @@ let test_trace_nonperturbing () =
 
 (* --- metrics --- *)
 
-let metrics_text_of ?(linking = true) ~icache_enabled () =
+let metrics_text_of ~icache_enabled () =
   Verify.Violation.set_enabled false;
   let m, k = Boards.make_ticktock_arm_mc () in
-  let ic = Fluxarm.Cpu.icache m.Machine.arm_cpu in
-  Fluxarm.Icache.set_enabled ic icache_enabled;
-  Fluxarm.Icache.set_linking ic linking;
+  Fluxarm.Icache.set_enabled (Fluxarm.Cpu.icache m.Machine.arm_cpu) icache_enabled;
   let inst = Boards.Ticktock_arm.instance k in
   ignore (Apps.Difftest.run_suite inst);
   Obs.Metrics.to_text (Obs.Metrics.model_only (inst.Instance.metrics ()))
 
 (* The icache and its trace links are host-side accelerators: switching
-   either off changes the host-observational counters but no
-   model-visible metric. *)
+   them off changes the host-observational counters but no model-visible
+   metric. *)
 let test_metrics_engine_invariant () =
-  let superblock = metrics_text_of ~icache_enabled:true ~linking:true () in
-  check_string "model metrics identical cached vs uncached" superblock
-    (metrics_text_of ~icache_enabled:false ());
-  check_string "model metrics identical linked vs per-block" superblock
-    (metrics_text_of ~icache_enabled:true ~linking:false ())
+  check_string "model metrics identical cached vs uncached"
+    (metrics_text_of ~icache_enabled:true ())
+    (metrics_text_of ~icache_enabled:false ())
 
 (* The superblock engine's own counters surface in the unified snapshot
    (host-flagged, so the invariance above doesn't see them). *)
 let test_metrics_link_stats () =
   Verify.Violation.set_enabled false;
-  let m, k = Boards.make_ticktock_arm_mc () in
-  Fluxarm.Icache.set_linking (Fluxarm.Cpu.icache m.Machine.arm_cpu) true;
+  let _, k = Boards.make_ticktock_arm_mc () in
   let inst = Boards.Ticktock_arm.instance k in
   ignore (Apps.Difftest.run_suite inst);
   let snap = inst.Instance.metrics () in

@@ -248,7 +248,6 @@ let test_restore_severs_trace_links () =
   let mem = Memory.create () in
   let cpu = C.create mem in
   let ic = C.icache cpu in
-  Fluxarm.Icache.set_linking ic true;
   (* A: [movw r0; cmp lr,r5; beq +0] falls into B: [movw r1; svc 0] *)
   ignore
     (T.assemble mem 0x1000
