@@ -806,27 +806,37 @@ let obs_make_instances mode ~iters =
 
 let obs_run_all ks = Array.iter (fun k -> ignore (Apps.Difftest.run_suite k)) ks
 
-(* Interleave the three modes round-robin and keep the per-mode minimum:
-   host load drifts on the scale of a whole sample, so measuring the modes
-   back-to-back within each round exposes them to the same drift, and the
-   minimum discards the loaded rounds. *)
+(* Interleave the three modes round-robin, [samples] rounds of one run per
+   mode: host load drifts on the scale of a whole sample, so measuring the
+   modes back-to-back within each round exposes them to the same drift.
+   Returns the per-round times, indexed [round][mode]. *)
 let obs_times ~iters ~samples =
   let modes = [| Obs.Config.Off; Obs.Config.Disabled; Obs.Config.On |] in
-  let best = [| infinity; infinity; infinity |] in
   Array.iter (fun m -> obs_run_all (obs_make_instances m ~iters:2) (* warm up *)) modes;
-  for _ = 1 to samples do
-    Array.iteri
-      (fun i m ->
-        let ks = obs_make_instances m ~iters in
-        (* settle the GC so no mode pays major-collection debt run up by
-           its predecessor's garbage *)
-        Gc.full_major ();
-        best.(i) <- Float.min best.(i) (bus_time (fun () -> obs_run_all ks)))
-      modes
-  done;
-  (best.(0), best.(1), best.(2))
+  Array.init samples (fun _ ->
+      Array.map
+        (fun m ->
+          let ks = obs_make_instances m ~iters in
+          (* settle the GC so no mode pays major-collection debt run up by
+             its predecessor's garbage *)
+          Gc.full_major ();
+          bus_time (fun () -> obs_run_all ks))
+        modes)
 
-let obs_json ~iters ~t_absent ~t_disabled ~t_enabled ~recorded ~dropped =
+(* Two estimators of a mode's overhead over absent. The minimum over
+   rounds discards loaded rounds but compares times from different rounds;
+   the paired median divides each round's time by the absent time of the
+   same round and takes the median of those ratios, so drift that spans a
+   round cancels and a single outlier round cannot move it. *)
+let obs_min times mode = Array.fold_left (fun b row -> Float.min b row.(mode)) infinity times
+
+let obs_paired_pct times mode =
+  let r = Array.map (fun row -> row.(mode) /. row.(0)) times in
+  Array.sort compare r;
+  100.0 *. (r.(Array.length r / 2) -. 1.0)
+
+let obs_json ~iters ~t_absent ~t_disabled ~t_enabled ~paired_disabled ~paired_enabled ~recorded
+    ~dropped =
   let pct t = 100.0 *. (t -. t_absent) /. t_absent in
   let oc = open_out "BENCH_obs.json" in
   Printf.fprintf oc
@@ -838,10 +848,13 @@ let obs_json ~iters ~t_absent ~t_disabled ~t_enabled ~recorded ~dropped =
     \  \"enabled_s\": %.4f,\n\
     \  \"disabled_overhead_pct\": %.2f,\n\
     \  \"enabled_overhead_pct\": %.2f,\n\
+    \  \"disabled_paired_overhead_pct\": %.2f,\n\
+    \  \"enabled_paired_overhead_pct\": %.2f,\n\
     \  \"events_per_suite_run\": %d,\n\
     \  \"events_dropped_per_suite_run\": %d\n\
      }\n"
-    iters t_absent t_disabled t_enabled (pct t_disabled) (pct t_enabled) recorded dropped;
+    iters t_absent t_disabled t_enabled (pct t_disabled) (pct t_enabled) paired_disabled
+    paired_enabled recorded dropped;
   close_out oc
 
 let obs_bench () =
@@ -850,9 +863,13 @@ let obs_bench () =
   let saved = Obs.Config.auto_mode () in
   let iters = obs_iters () in
   let samples = 9 in
-  Printf.printf "%d suite runs per sample, best of %d interleaved samples per mode (OBS_ITERS=%d)\n\n"
+  Printf.printf
+    "%d suite runs per sample, %d interleaved samples per mode: best, and median paired with \
+     absent (OBS_ITERS=%d)\n\n"
     iters samples iters;
-  let t_absent, t_disabled, t_enabled = obs_times ~iters ~samples in
+  let times = obs_times ~iters ~samples in
+  let t_absent = obs_min times 0 and t_disabled = obs_min times 1 and t_enabled = obs_min times 2 in
+  let paired_disabled = obs_paired_pct times 1 and paired_enabled = obs_paired_pct times 2 in
   (* Event volume of one traced suite run, from a dedicated instance. *)
   Obs.Config.set_auto Obs.Config.Off;
   let r = Obs.Recorder.create () in
@@ -861,13 +878,16 @@ let obs_bench () =
   let recorded = Obs.Recorder.recorded r and dropped = Obs.Recorder.dropped r in
   Obs.Config.set_auto saved;
   let pct t = 100.0 *. (t -. t_absent) /. t_absent in
-  Printf.printf "%-10s %10s %10s\n" "mode" "time" "overhead";
-  Printf.printf "%-10s %9.3fs %9s\n" "absent" t_absent "-";
-  Printf.printf "%-10s %9.3fs %+8.2f%%\n" "disabled" t_disabled (pct t_disabled);
-  Printf.printf "%-10s %9.3fs %+8.2f%%\n" "enabled" t_enabled (pct t_enabled);
+  Printf.printf "%-10s %10s %10s %10s\n" "mode" "time" "overhead" "paired";
+  Printf.printf "%-10s %9.3fs %9s %10s\n" "absent" t_absent "-" "-";
+  Printf.printf "%-10s %9.3fs %+8.2f%% %+8.2f%%\n" "disabled" t_disabled (pct t_disabled)
+    paired_disabled;
+  Printf.printf "%-10s %9.3fs %+8.2f%% %+8.2f%%\n" "enabled" t_enabled (pct t_enabled)
+    paired_enabled;
   Printf.printf "\ntraced suite run: %d events recorded, %d dropped (ring capacity %d)\n" recorded
     dropped r.Obs.Recorder.capacity;
-  obs_json ~iters ~t_absent ~t_disabled ~t_enabled ~recorded ~dropped;
+  obs_json ~iters ~t_absent ~t_disabled ~t_enabled ~paired_disabled ~paired_enabled ~recorded
+    ~dropped;
   print_endline "wrote BENCH_obs.json"
 
 (* ------------------------------------------------------------------ *)
@@ -1452,9 +1472,10 @@ let fuzzcov_bench () =
 (* --------------------------------------------------------------------- *)
 (* Time-travel replay: record overhead vs a plain run, and backward-step  *)
 (* latency as a function of the interval-snapshot spacing K. A backward   *)
-(* step restores the nearest snapshot at or below the target and          *)
-(* re-executes — expected cost O(K/2) ticks — while recording itself      *)
-(* only adds a fingerprint at every K-th boundary.                        *)
+(* step restores the nearest checkpoint at or below the target (the      *)
+(* K-spaced ladder or the log-spaced trail behind the current tick) and   *)
+(* re-executes — at most K-1 ticks — while recording itself only adds a   *)
+(* fingerprint at every K-th boundary.                                    *)
 (* --------------------------------------------------------------------- *)
 
 let replay_bench () =

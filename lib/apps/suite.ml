@@ -33,11 +33,24 @@ let default_app name script =
   }
 
 (* Fake payload bytes standing in for the app's machine code; size varies
-   per app so flash placement is exercised, identically on both kernels. *)
+   per app so flash placement is exercised, identically on both kernels.
+   The bytes are the name repeated, filled by doubling copies of the
+   prefix: every process load builds one, so it costs a few blits rather
+   than a quadratic chain of concatenations. *)
 let payload_of (app : app) =
-  let want = 256 + (String.length app.app_name * 37 mod 700) in
-  let rec build acc = if String.length acc >= want then acc else build (acc ^ app.app_name) in
-  String.sub (build app.app_name) 0 want
+  let name = app.app_name in
+  let want = 256 + (String.length name * 37 mod 700) in
+  let b = Bytes.create want in
+  let first = min (String.length name) want in
+  Bytes.blit_string name 0 b 0 first;
+  let rec double len =
+    if len < want then begin
+      Bytes.blit b 0 b len (min len (want - len));
+      double (2 * len)
+    end
+  in
+  double first;
+  Bytes.unsafe_to_string b
 
 (* Print through the console capsule the way a real app would: share a
    buffer with allow_ro, then command the driver. Exercises

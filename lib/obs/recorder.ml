@@ -13,61 +13,99 @@ type entry = { at : int; event : Event.t }
    blocks get promoted out of the minor heap and the "enabled" overhead is
    dominated by collector work rather than by the hooks.
 
-   The arrays start empty and double geometrically up to [capacity]:
-   a recorder that records little (or nothing — the "disabled" determinism
-   mode attaches one per instance) never pays for the full ring. Capacity
-   is rounded up to a power of two so the ring index is a mask, not a
-   division; the ring can only wrap once the arrays have reached full
-   capacity, so [next land mask] indexes correctly in both the growing and
-   the wrapped regime. *)
+   The ring is a table of fixed-size chunks of min(256, capacity) events.
+   A chunk is allocated on its first write, so a recorder that records
+   little (or nothing — the "disabled" determinism mode attaches one per
+   instance) never pays for the full ring. Capacity is rounded up to a
+   power of two so the ring index is a mask, not a division, and its chunk
+   and slot are a shift and a mask.
+
+   Capture and restore are copy-on-write, as [Mach.Memory]'s pages are:
+   [era] advances on every capture and restore, and [owner] maps a chunk
+   to the era in which this [t] came to own it exclusively. A capture
+   copies the chunk table only (32 pointers at the default capacity), so
+   every chunk is then shared with it; a record into a chunk owned in an
+   older era clones the chunk first, which costs the recording one int
+   compare per event. A capture stays frozen, and a replay session that
+   captures and restores at every tick pays for the chunks it writes, not
+   for the whole ring. *)
 
 let stride = 6 (* tick, tag, a, b, c, d *)
+let chunk_max = 256
+
+type chunk = { ints : int array; (* stride-sized slots *) strs : string array }
+
+(* the table entry of a chunk that was never written *)
+let unwritten = { ints = [||]; strs = [||] }
 
 type t = {
   capacity : int;
   mask : int;  (* capacity - 1 *)
-  mutable ints : int array;  (* stride-sized slots, [||] until first record *)
-  mutable strs : string array;
+  chunk_bits : int;  (* log2 of the events per chunk *)
+  chunks : chunk array;
+  owner : int array;  (* per chunk: the era this [t] owns it in, -1 if none *)
+  mutable era : int;
   mutable next : int;  (* total events offered while enabled *)
   mutable enabled : bool;
 }
 
 let rec pow2_above n acc = if acc >= n then acc else pow2_above n (acc * 2)
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
 let create ?(capacity = 8192) () =
   if capacity <= 0 then invalid_arg "Recorder.create: capacity must be positive";
   let capacity = pow2_above capacity 1 in
-  { capacity; mask = capacity - 1; ints = [||]; strs = [||]; next = 0; enabled = true }
+  let chunk_bits = log2 (min chunk_max capacity) in
+  let n = capacity lsr chunk_bits in
+  {
+    capacity;
+    mask = capacity - 1;
+    chunk_bits;
+    chunks = Array.make n unwritten;
+    owner = Array.make n (-1);
+    era = 0;
+    next = 0;
+    enabled = true;
+  }
 
 let capacity t = t.capacity
 let enabled t = t.enabled
+
+(* ring index -> offset in its chunk (the chunk is [i lsr chunk_bits]) *)
+let slot t i = i land ((1 lsl t.chunk_bits) - 1)
 let set_enabled t on = t.enabled <- on
 
-let grow t =
-  let size = Array.length t.strs in
-  let size' = min t.capacity (max 256 (2 * size)) in
-  let ints' = Array.make (size' * stride) 0 and strs' = Array.make size' "" in
-  Array.blit t.ints 0 ints' 0 (size * stride);
-  Array.blit t.strs 0 strs' 0 size;
-  t.ints <- ints';
-  t.strs <- strs'
+(* Make chunk [c] private to the current era: allocate it on its first
+   write, clone it if a capture may share it. *)
+let own t c =
+  let old = t.chunks.(c) in
+  let fresh =
+    if old == unwritten then begin
+      let size = 1 lsl t.chunk_bits in
+      { ints = Array.make (size * stride) 0; strs = Array.make size "" }
+    end
+    else { ints = Array.copy old.ints; strs = Array.copy old.strs }
+  in
+  t.chunks.(c) <- fresh;
+  t.owner.(c) <- t.era;
+  fresh
 
-(* Provision the full ring up front. Recording grows the ring on demand,
-   but each doubling is a fresh (major-heap) array plus a copy; a harness
-   that wants the steady-state recording cost — the overhead bench — can
-   pay for the whole ring before the timed region instead. *)
+(* Own every chunk up front. Recording allocates or clones a chunk on its
+   first write in an era, each a fresh array plus a copy; a harness that
+   wants the steady-state recording cost — the overhead bench — can pay
+   for the whole ring before the timed region instead. *)
 let reserve t =
-  while Array.length t.strs < t.capacity do
-    grow t
-  done
+  Array.iteri (fun c e -> if e <> t.era then ignore (own t c)) t.owner
 
 let int_of_bool b = if b then 1 else 0
 
 let record t ~tick event =
   if t.enabled then begin
-    if t.next >= Array.length t.strs && Array.length t.strs < t.capacity then grow t;
     let i = t.next land t.mask in
-    let base = i * stride in
+    let ci = i lsr t.chunk_bits in
+    let ch = if t.owner.(ci) = t.era then t.chunks.(ci) else own t ci in
+    let j = slot t i in
+    let base = j * stride in
     let tag, a, b, c, d, s =
       match event with
       | Event.Proc_created { pid; name } -> (0, pid, 0, 0, 0, name)
@@ -96,25 +134,28 @@ let record t ~tick event =
           (20, pid, mismatched, int_of_bool repaired, latency, "")
       | Event.Watchdog_fired { pid; ran } -> (21, pid, ran, 0, 0, "")
     in
-    let ints = t.ints in
+    let ints = ch.ints in
     ints.(base) <- tick;
     ints.(base + 1) <- tag;
     ints.(base + 2) <- a;
     ints.(base + 3) <- b;
     ints.(base + 4) <- c;
     ints.(base + 5) <- d;
-    t.strs.(i) <- s;
+    ch.strs.(j) <- s;
     t.next <- t.next + 1
   end
 
+(* The event in ring slot [i] (which must have been written). *)
 let event_at t i =
-  let base = i * stride in
-  let ints = t.ints in
+  let ch = t.chunks.(i lsr t.chunk_bits) in
+  let j = slot t i in
+  let base = j * stride in
+  let ints = ch.ints in
   let a = ints.(base + 2)
   and b = ints.(base + 3)
   and c = ints.(base + 4)
   and d = ints.(base + 5)
-  and s = t.strs.(i) in
+  and s = ch.strs.(j) in
   match ints.(base + 1) with
   | 0 -> Event.Proc_created { pid = a; name = s }
   | 1 -> Event.Scheduled { pid = a }
@@ -140,39 +181,31 @@ let event_at t i =
   | 21 -> Event.Watchdog_fired { pid = a; ran = b }
   | _ -> assert false
 
-(* Ring capture/restore for the board snapshot subsystem: whole-array
-   copies (the ring is bounded) written back through the same [t], so the
-   sinks the layers were wired with keep recording into the restored ring. *)
-type captured = {
-  cap_ints : int array;
-  cap_strs : string array;
-  cap_next : int;
-  cap_enabled : bool;
-}
+(* Ring capture/restore for the board snapshot subsystem, copy-on-write
+   (see above): both bump the era, so every chunk the two tables share is
+   cloned before its next write. Restore writes back through the same [t],
+   so the sinks the layers were wired with keep recording into the
+   restored ring. *)
+type captured = { cap_chunks : chunk array; cap_next : int; cap_enabled : bool }
 
 let capture t =
-  {
-    cap_ints = Array.copy t.ints;
-    cap_strs = Array.copy t.strs;
-    cap_next = t.next;
-    cap_enabled = t.enabled;
-  }
+  t.era <- t.era + 1;
+  { cap_chunks = Array.copy t.chunks; cap_next = t.next; cap_enabled = t.enabled }
 
 let restore t c =
-  t.ints <- Array.copy c.cap_ints;
-  t.strs <- Array.copy c.cap_strs;
+  t.era <- t.era + 1;
+  Array.blit c.cap_chunks 0 t.chunks 0 (Array.length t.chunks);
   t.next <- c.cap_next;
   t.enabled <- c.cap_enabled
 
 let recorded t = min t.next t.capacity
 let dropped t = max 0 (t.next - t.capacity)
 
+(* Back to an empty ring: every chunk is dropped, to be allocated afresh
+   on its next write. *)
 let clear t =
-  let size = Array.length t.strs in
-  if size > 0 then begin
-    Array.fill t.ints 0 (size * stride) 0;
-    Array.fill t.strs 0 size ""
-  end;
+  Array.fill t.chunks 0 (Array.length t.chunks) unwritten;
+  Array.fill t.owner 0 (Array.length t.owner) (-1);
   t.next <- 0
 
 (* Oldest-first. *)
@@ -181,7 +214,7 @@ let entries t =
   let first = if t.next > t.capacity then t.next land t.mask else 0 in
   List.init n (fun i ->
       let j = (first + i) land t.mask in
-      { at = t.ints.(j * stride); event = event_at t j })
+      { at = t.chunks.(j lsr t.chunk_bits).ints.(slot t j * stride); event = event_at t j })
 
 let events t = List.map (fun e -> e.event) (entries t)
 

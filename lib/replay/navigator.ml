@@ -1,14 +1,25 @@
 (** Time-travel navigation over a {!Ticktock.Replayable} session.
 
-    The navigator owns one live session and a ladder of in-memory interval
-    snapshots: while stepping forward it captures the whole board every
-    [interval] ticks, and a {e backward} step restores the nearest snapshot
-    at or below the target and re-executes forward — O(interval) ticks of
-    work per backward step, never a from-scratch replay. Sessions whose
+    The navigator owns one live session and two sets of in-memory
+    whole-board checkpoints:
+    - the {e ladder}: every [interval]-th tick a forward pass crosses;
+    - the {e trail}: log-spaced checkpoints behind the current tick. A
+      forward pass toward tick [g] captures each tick [g-1, g-2, g-4, ...]
+      it crosses (ticks the ladder holds are skipped), and once a command
+      lands at tick [p] the trail keeps only the nearest checkpoint of each
+      distance class [[2^k, 2^(k+1))] below [p]: at most [floor(log2 p)+1]
+      of them.
+
+    A {e backward} step restores the greatest checkpoint at or below the
+    target and re-executes forward from it, never a from-scratch replay. A
+    [back 1] right after a command that stepped to its tick is therefore a
+    restore with no re-execution, and a longer backward jump re-executes at
+    most [interval - 1] ticks. Checkpoints are cheap to hold: board memory
+    and the obs event ring are both captured copy-on-write. Sessions whose
     mid-run capture is not exact (fabric topologies: host-side agents hold
-    in-flight state a capture cannot see) run with [~snapshots:false] and
-    pay a restart-and-replay per backward jump instead; correctness is the
-    same, only the cost model differs.
+    in-flight state a capture cannot see) run with [~snapshots:false], keep
+    neither ladder nor trail, and pay a restart-and-replay per backward jump
+    instead; correctness is the same, only the cost model differs.
 
     When created [~marks] (from a {!Bundle}), every forward pass verifies
     the session fingerprint against the recorded mark at each boundary it
@@ -25,20 +36,22 @@ type t = {
   mutable nv_session : Replayable.t;
   nv_restart : unit -> Replayable.t;
       (** back to tick 0 in post-schedule state (may rebuild the session) *)
-  mutable nv_snaps : (int * (unit -> unit)) list;  (** ascending (tick, restore) *)
+  mutable nv_snaps : (int * (unit -> unit)) list;  (** the ladder: ascending (tick, restore) *)
+  mutable nv_trail : (int * (unit -> unit)) list;
+      (** the trail: (tick, restore), nearest first after each command *)
 }
 
 let session t = t.nv_session
 let tick t = t.nv_session.Replayable.rp_tick ()
 let fingerprint t = t.nv_session.Replayable.rp_fingerprint ()
 let crash t = t.nv_session.Replayable.rp_crash ()
-let snapshots_held t = List.length t.nv_snaps
+let snapshots_held t = List.length t.nv_snaps + List.length t.nv_trail
 
 (** [create ~interval ~restart session]: [restart] must bring the session
     back to tick 0 in its exact post-schedule state (rebuilding the session
     value is allowed — fabric restarts do). [session] must {e be} at tick 0
     when handed over. [~snapshots:false] disables the interval ladder for
-    sessions whose mid-run capture is inexact. *)
+    sessions whose mid-run capture is inexact, and the trail with it. *)
 let create ?(interval = 32) ?(snapshots = true) ?(marks = [||]) ~restart session =
   let tbl = Hashtbl.create 64 in
   Array.iter (fun (tk, fp) -> Hashtbl.replace tbl tk fp) marks;
@@ -50,6 +63,7 @@ let create ?(interval = 32) ?(snapshots = true) ?(marks = [||]) ~restart session
     nv_session = session;
     nv_restart = restart;
     nv_snaps = [];
+    nv_trail = [];
   }
 
 let check_mark t now =
@@ -73,15 +87,26 @@ let snap_here t now =
         t.nv_snaps
         [ (now, t.nv_session.Replayable.rp_capture ()) ]
 
-(** Step forward to [target], single-tick, capturing interval snapshots and
-    verifying marks on the way. Stops early if the session crashes (state
-    frozen at the crash tick) or quiesces (no tick progress: nothing left
-    to schedule). *)
+(* Capture [now] for the trail if it is [target - 2^k] and on neither
+   ladder nor trail. The ladder holds exactly the multiples of the interval
+   a pass crossed, and [snap_here] has just run. *)
+let trail_here t now ~target =
+  let d = target - now in
+  if
+    t.nv_snapshots && d land (d - 1) = 0 && now mod t.nv_interval <> 0
+    && not (List.mem_assoc now t.nv_trail)
+  then t.nv_trail <- (now, t.nv_session.Replayable.rp_capture ()) :: t.nv_trail
+
+(** Step forward to [target], single-tick, capturing ladder and trail
+    checkpoints and verifying marks on the way. Stops early if the session
+    crashes (state frozen at the crash tick) or quiesces (no tick progress:
+    nothing left to schedule). *)
 let forward_to t target =
   let rec go () =
     let now = tick t in
     snap_here t now;
     if now < target && crash t = None then begin
+      trail_here t now ~target;
       t.nv_session.Replayable.rp_step ~ticks:1;
       let now' = tick t in
       if now' > now then begin
@@ -92,25 +117,43 @@ let forward_to t target =
   in
   go ()
 
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+(* Keep the nearest trail checkpoint of each distance class [2^k, 2^(k+1))
+   below the current tick, and none at or above it. *)
+let prune_trail t =
+  let p = tick t in
+  let rec nearest_per_class cls = function
+    | [] -> []
+    | ((tk, _) as c) :: rest ->
+      let k = log2 (p - tk) in
+      if k = cls then nearest_per_class cls rest else c :: nearest_per_class k rest
+  in
+  let below = List.filter (fun (tk, _) -> tk < p) t.nv_trail in
+  t.nv_trail <- nearest_per_class (-1) (List.sort (fun (a, _) (b, _) -> compare b a) below)
+
 (** Travel to absolute tick [target]. Forward is plain stepping; backward
-    restores the greatest snapshot at or below [target] (or restarts to
-    tick 0) and re-executes. *)
+    restores the greatest checkpoint, ladder or trail, at or below
+    [target] (or restarts to tick 0) and re-executes. *)
 let goto t target =
   if target < 0 then invalid_arg "Navigator.goto: negative tick";
   let now = tick t in
   if target < now then begin
-    (match
-       List.fold_left
-         (fun best (tk, restore) -> if tk <= target then Some (tk, restore) else best)
-         None t.nv_snaps
-     with
+    let greatest best ((tk, _) as c) =
+      match best with
+      | Some (b, _) when b >= tk -> best
+      | _ -> if tk <= target then Some c else best
+    in
+    (match List.fold_left greatest (List.fold_left greatest None t.nv_snaps) t.nv_trail with
     | Some (_, restore) -> restore ()
     | None -> t.nv_session <- t.nv_restart ());
-    (* snapshots above the restore point stay valid: they restore absolute
-       state, not deltas, so a later forward pass may reuse them *)
+    (* checkpoints above the restore point stay valid: they restore
+       absolute state, not deltas, so a later forward pass may reuse the
+       ladder's; the trail is re-spaced around the landing tick below *)
     ()
   end;
-  forward_to t target
+  forward_to t target;
+  prune_trail t
 
 (** [back t n]: step backward [n] ticks — restore-and-re-execute. *)
 let back t n =

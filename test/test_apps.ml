@@ -9,6 +9,19 @@ let test_suite_has_21_apps () =
   check_int "21 release tests" 21 (List.length Apps.Suite.all);
   check_int "5 layout-sensitive" 5 (List.length Apps.Suite.expected_differing)
 
+(* A payload is the app's name repeated up to its per-app size: flash
+   placement, and so every golden output, depends on these bytes. *)
+let test_payload_bytes () =
+  List.iter
+    (fun (a : Apps.Suite.app) ->
+      let name = a.Apps.Suite.app_name in
+      let n = String.length name in
+      let want = 256 + (n * 37 mod 700) in
+      Alcotest.(check string) name
+        (String.init want (fun i -> name.[i mod n]))
+        (Apps.Suite.payload_of a))
+    Apps.Suite.all
+
 let difftest () =
   let left = Apps.Difftest.run_suite (Boards.instance_ticktock_arm ()) in
   let right = Apps.Difftest.run_suite (Boards.instance_tock_arm ()) in
@@ -145,4 +158,5 @@ let suite =
       test_universal_attacks_contained_everywhere;
     Alcotest.test_case "ticktock contains every attack" `Slow
       test_ticktock_contains_every_attack;
+    Alcotest.test_case "payload bytes" `Quick test_payload_bytes;
   ]

@@ -431,6 +431,45 @@ let test_lockstep_every_fuel () =
       fuels
   done
 
+(* A block is built and published while its [str] writes data (r6 points
+   at SRAM); a later run points the same store at a later instruction of
+   that block. The cached block must stop right after the store, because
+   its remaining decoded entries are stale: with fuel shorter than the
+   block the trace interprets it ([exec_block]), with full fuel it runs
+   the compiled macro-ops ([exec_block_fast]). Each run matches the
+   uncached engine, and the rewritten instruction is the one that ran. *)
+let test_store_into_running_block fuel () =
+  let prog = [ T.Str_imm (R.R0, R.R6, 0); T.Movw (R.R1, 1); T.Movw (R.R2, 2); T.Svc 0 ] in
+  let target = 0x1000 + T.size_bytes (List.hd prog) (* the first movw *) in
+  let rewritten =
+    match T.encode (T.Movw (R.R1, 99)) with
+    | [ h1; h2 ] -> h1 lor (h2 lsl 16)
+    | _ -> Alcotest.fail "movw should be 32-bit"
+  in
+  let cached = lockstep_cpu ~cached:true prog and uncached = lockstep_cpu ~cached:false prog in
+  let go ~fuel cpu =
+    C.set_special_raw cpu R.Pc 0x1000;
+    observed_run ~fuel cpu
+  in
+  check_lockstep "store into data" (go ~fuel:10_000 cached) (go ~fuel:10_000 uncached);
+  let ic = C.icache cached in
+  let mem = C.memory cached in
+  (match I.find_block ic ~gen:(Memory.code_generation mem) 0x1000 with
+  | Some b -> check_int "one block holds the store and the svc" 4 (Array.length b.I.entries)
+  | None -> Alcotest.fail "expected a published block at 0x1000");
+  List.iter
+    (fun cpu ->
+      C.set cpu R.R0 rewritten;
+      C.set cpu R.R1 0;
+      C.set cpu R.R2 0;
+      C.set cpu R.R6 target)
+    [ cached; uncached ];
+  let hits = (I.stats ic).I.hits in
+  let c = go ~fuel cached in
+  check_bool "the rewriting run entered the published block" true ((I.stats ic).I.hits > hits);
+  check_lockstep (Printf.sprintf "store into its own block (fuel %d)" fuel) c (go ~fuel uncached);
+  check_int "the rewritten instruction ran" 99 (C.get cached R.R1)
+
 (* A pop into pc has a dynamic target, so its block is a trace exit and
    the dispatcher resolves the target. [push {r0, lr}] with lr at [label],
    then [pop {r0, pc}] over one skipped instruction to the svc: four runs
@@ -472,6 +511,10 @@ let suite =
       test_lockstep_fuzz;
     Alcotest.test_case "lockstep at every fuel value" `Quick test_lockstep_every_fuel;
     Alcotest.test_case "pop {.., pc} exits in lockstep" `Quick test_pop_pc_lockstep;
+    Alcotest.test_case "store into own block, short fuel" `Quick
+      (test_store_into_running_block 3);
+    Alcotest.test_case "store into own block, full fuel" `Quick
+      (test_store_into_running_block 10_000);
     Alcotest.test_case "store into linked successor severs chain" `Quick
       test_store_severs_link;
     Alcotest.test_case "reset severs trace links" `Quick test_reset_severs_links;

@@ -72,6 +72,110 @@ let test_disabled_records_nothing () =
   check_int "nothing recorded" 0 (Obs.Recorder.recorded r);
   check_int "nothing dropped" 0 (Obs.Recorder.dropped r)
 
+(* --- copy-on-write capture against a reference model ---
+
+   Random sequences of record, capture, restore of any earlier capture,
+   clear and set_enabled, at ring capacities from 1 (one one-event chunk)
+   to 8192 (32 chunks), with wraparound. The model keeps the ring as an
+   immutable newest-first list, so each of its captures is a deep copy by
+   construction; after every operation the recorder's entries, recorded
+   and dropped must equal the model's. A capture or restore that forgets
+   to share-then-clone (no era bump, or a write into a shared chunk)
+   leaks later records into an earlier capture and fails this. *)
+
+type ring_op =
+  | Rec of int * int  (* count, first event seed *)
+  | Capture
+  | Restore of int  (* index into the captures so far *)
+  | Clear
+  | Set_enabled of bool
+
+(* mixes string-carrying and int-only constructors, so both halves of a
+   chunk are exercised *)
+let ring_event n =
+  Obs.Event.(
+    match n mod 5 with
+    | 0 -> Proc_created { pid = n land 15; name = "p" ^ string_of_int n }
+    | 1 -> Syscall { pid = n land 15; call = "c" ^ string_of_int (n mod 7); result = n }
+    | 2 -> Region_update { start = n; size = 2 * n; app_break = n + 1; kernel_break = n + 3 }
+    | 3 -> Faulted { pid = n land 15; reason = string_of_int n }
+    | _ -> Grant { pid = n land 15; driver = n + 1; addr = 4 * n; ok = n land 1 = 0 })
+
+let gen_ring_ops =
+  let open QCheck.Gen in
+  let* capacity = oneofl [ 1; 4; 8; 64; 300; 8192 ] in
+  (* batches up to ~3/4 of the ring, so a few of them wrap it *)
+  let big = max 1 (3 * capacity / 4) in
+  let op =
+    frequency
+      [
+        (6, map2 (fun n s -> Rec (n, s)) (int_range 1 3) (int_bound 10_000));
+        (3, map2 (fun n s -> Rec (n, s)) (int_range 1 big) (int_bound 10_000));
+        (3, return Capture);
+        (3, map (fun i -> Restore i) (int_bound 1000));
+        (1, return Clear);
+        (1, map (fun b -> Set_enabled b) (frequencyl [ (1, false); (3, true) ]));
+      ]
+  in
+  pair (return capacity) (list_size (int_range 1 40) op)
+
+let print_ring_ops =
+  let op = function
+    | Rec (n, s) -> Printf.sprintf "rec %d@%d" n s
+    | Capture -> "capture"
+    | Restore i -> Printf.sprintf "restore %d" i
+    | Clear -> "clear"
+    | Set_enabled b -> Printf.sprintf "enabled %b" b
+  in
+  QCheck.Print.(pair int (list op))
+
+type ring_model = { m_ring : (int * Obs.Event.t) list; m_next : int; m_on : bool }
+
+let prop_ring_matches_model =
+  QCheck.Test.make ~name:"ring capture = deep-copy model" ~count:300
+    (QCheck.make ~print:print_ring_ops gen_ring_ops)
+    (fun (capacity, ops) ->
+      let r = Obs.Recorder.create ~capacity () in
+      let cap = Obs.Recorder.capacity r in
+      let m = ref { m_ring = []; m_next = 0; m_on = true } in
+      let captures = ref [||] in
+      let agrees () =
+        let mm = !m in
+        List.map (fun (e : Obs.Recorder.entry) -> (e.Obs.Recorder.at, e.Obs.Recorder.event))
+          (Obs.Recorder.entries r)
+        = List.rev mm.m_ring
+        && Obs.Recorder.recorded r = min mm.m_next cap
+        && Obs.Recorder.dropped r = max 0 (mm.m_next - cap)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Rec (n, seed) ->
+            for i = seed to seed + n - 1 do
+              Obs.Recorder.record r ~tick:i (ring_event i)
+            done;
+            if !m.m_on then begin
+              let newest_first = List.init n (fun k -> seed + n - 1 - k) in
+              let ring = List.map (fun i -> (i, ring_event i)) newest_first @ !m.m_ring in
+              m := { !m with m_ring = List.filteri (fun i _ -> i < cap) ring; m_next = !m.m_next + n }
+            end
+          | Capture -> captures := Array.append !captures [| (Obs.Recorder.capture r, !m) |]
+          | Restore i ->
+            let n = Array.length !captures in
+            if n > 0 then begin
+              let c, mm = !captures.(i mod n) in
+              Obs.Recorder.restore r c;
+              m := mm
+            end
+          | Clear ->
+            Obs.Recorder.clear r;
+            m := { !m with m_ring = []; m_next = 0 }
+          | Set_enabled b ->
+            Obs.Recorder.set_enabled r b;
+            m := { !m with m_on = b });
+          agrees ())
+        ops)
+
 (* --- the kernel's event trace ---
 
    A kernel created with [~obs] records what the scheduler sees: process
@@ -557,6 +661,7 @@ let suite =
     Alcotest.test_case "event encode/decode round-trip" `Quick test_roundtrip;
     Alcotest.test_case "ring wraparound, mixed event types" `Quick test_wraparound;
     Alcotest.test_case "disabled recorder records nothing" `Quick test_disabled_records_nothing;
+    QCheck_alcotest.to_alcotest prop_ring_matches_model;
     Alcotest.test_case "trace export is deterministic" `Quick test_trace_deterministic;
     Alcotest.test_case "tracing does not perturb the run" `Quick test_trace_nonperturbing;
     Alcotest.test_case "model metrics invariant to icache" `Quick test_metrics_engine_invariant;

@@ -91,6 +91,121 @@ let nav_identity board () =
       (* the recording's own final state reproduces *)
       check_bool "bundle reproduces" true (Replay.Record.reproduces b))
 
+(* --- the log-spaced trail: invisible and bounded --- *)
+
+(* A navigator on [b] whose session counts its single-tick steps, with
+   the model-cycle counter it runs on: the counter is global to the domain
+   and every fingerprint hashes it, so two navigators driven in turn each
+   keep their own, as if each ran in its own process. *)
+type counted = { cn_nav : Replay.Navigator.t; cn_steps : int ref; mutable cn_cycles : int }
+
+let counted_navigator ~snapshots (b : Replay.Bundle.t) =
+  let lv = Replay.Record.live_of_bundle b in
+  let steps = ref 0 in
+  let count (s : Replayable.t) =
+    {
+      s with
+      Replayable.rp_step =
+        (fun ~ticks ->
+          incr steps;
+          s.Replayable.rp_step ~ticks);
+    }
+  in
+  let nav =
+    Replay.Navigator.create ~interval:b.Replay.Bundle.bu_header.Replay.Bundle.hd_interval
+      ~snapshots ~marks:b.Replay.Bundle.bu_marks
+      ~restart:(fun () -> count (lv.Replay.Record.lv_restart ()))
+      (count lv.Replay.Record.lv_session)
+  in
+  { cn_nav = nav; cn_steps = steps; cn_cycles = Cycles.read Cycles.global }
+
+let on c f =
+  Cycles.set Cycles.global c.cn_cycles;
+  Fun.protect ~finally:(fun () -> c.cn_cycles <- Cycles.read Cycles.global) f
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+(* A random deck of [back 1], [goto T] and one-step commands, on a
+   navigator with ladder and trail and on one with [~snapshots:false]
+   (which restarts and re-executes every backward jump). After every
+   command both show the same tick, fingerprint, registers, MPU and
+   memory; the held checkpoints never exceed the ladder plus
+   floor(log2 tick)+1; and a [back 1] right after a command that stepped
+   to its tick is a restore, with no step re-executed. *)
+let trail_lockstep b =
+  with_contracts (fun () ->
+      let horizon = b.Replay.Bundle.bu_header.Replay.Bundle.hd_horizon in
+      let interval = b.Replay.Bundle.bu_header.Replay.Bundle.hd_interval in
+      check_bool "recording long enough to navigate" true (horizon > 8);
+      let nav = counted_navigator ~snapshots:true b in
+      let reference = counted_navigator ~snapshots:false b in
+      let tick x = on x (fun () -> Replay.Navigator.tick x.cn_nav) in
+      let view x =
+        on x (fun () ->
+            let n = x.cn_nav in
+            ( Replay.Navigator.fingerprint n,
+              Replay.Navigator.regs n,
+              Replay.Navigator.mpu n,
+              Replay.Navigator.mem_read n ~addr:(Range.start Layout.kernel_sram) ~len:256,
+              Replay.Navigator.mem_read n ~addr:(Range.start Layout.app_sram) ~len:1024 ))
+      in
+      let rng = Random.State.make [| horizon; 0x7A11 |] in
+      let reached = ref 0 and stepped = ref false and free_backs = ref 0 in
+      for c = 1 to 80 do
+        let now = tick nav in
+        let roll = Random.State.int rng 10 in
+        let back = roll < 5 in
+        let target =
+          if back then max 0 (now - 1)
+          else if roll < 8 then Random.State.int rng (horizon + 1)
+          else min horizon (now + 1)
+        in
+        let go x =
+          on x (fun () ->
+              if back then Replay.Navigator.back x.cn_nav 1
+              else Replay.Navigator.goto x.cn_nav target)
+        in
+        let what =
+          Printf.sprintf "command %d (%s from %d)" c
+            (if back then "back 1" else Printf.sprintf "goto %d" target)
+            now
+        in
+        let steps0 = !(nav.cn_steps) in
+        go nav;
+        go reference;
+        let steps = !(nav.cn_steps) - steps0 in
+        let p = tick nav in
+        if back && !stepped then begin
+          check_int (what ^ ": a restore, nothing re-executed") 0 steps;
+          incr free_backs
+        end;
+        check_int (what ^ ": tick") (tick reference) p;
+        let fp_n, regs_n, mpu_n, kmem_n, amem_n = view nav
+        and fp_r, regs_r, mpu_r, kmem_r, amem_r = view reference in
+        Alcotest.check fp (what ^ ": fingerprint") fp_r fp_n;
+        check_bool (what ^ ": registers") true (regs_n = regs_r);
+        check_string (what ^ ": MPU") mpu_r mpu_n;
+        check_string (what ^ ": kernel memory") kmem_r kmem_n;
+        check_string (what ^ ": app memory") amem_r amem_n;
+        reached := max !reached p;
+        let held = Replay.Navigator.snapshots_held nav.cn_nav in
+        let ladder = (!reached / interval) + 1 and trail = if p > 0 then log2 p + 1 else 0 in
+        check_bool
+          (Printf.sprintf "%s: %d held <= ladder %d + trail %d" what held ladder trail)
+          true
+          (held <= ladder + trail);
+        check_int (what ^ ": no checkpoints without snapshots") 0
+          (Replay.Navigator.snapshots_held reference.cn_nav);
+        stepped := steps > 0 && p = target
+      done;
+      check_bool "some back 1 followed a stepped landing" true (!free_backs > 0))
+
+let workload_bundle () =
+  with_contracts (fun () ->
+      let sched = Replay.Schedule.fleet_cell ~seed:1 ~fuzzers:16 ~steps:20000 in
+      let lv = Replay.Record.board_live ~what:"Test" ~board:"ticktock-arm" ~horizon:1500 sched in
+      Replay.Record.record ~interval:32 lv)
+
 (* --- the on-disk bundle --- *)
 
 let test_bundle_roundtrip () =
@@ -281,4 +396,10 @@ let suite =
     Alcotest.test_case "fuzzcov crasher bundle reproduces" `Quick test_fuzzcov_crasher_bundle;
     Alcotest.test_case "fabric cell bundle reproduces" `Quick test_fabric_cell_bundle;
     Alcotest.test_case "recording is fingerprint-invisible" `Quick test_replay_invisibility;
+    Alcotest.test_case "trail lockstep, fleet cell" `Quick (fun () ->
+        trail_lockstep (workload_bundle ()));
+    Alcotest.test_case "trail lockstep, ticktock-arm-v8" `Quick (fun () ->
+        trail_lockstep (record_cell "ticktock-arm-v8"));
+    Alcotest.test_case "trail lockstep, ticktock-e310" `Quick (fun () ->
+        trail_lockstep (record_cell "ticktock-e310"));
   ]
