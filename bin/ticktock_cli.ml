@@ -316,25 +316,6 @@ let ps_cmd =
     (Cmd.info "ps" ~doc:"Process states after a short suite run")
     Term.(const run2 $ board_arg)
 
-(* `stats` used to print only the per-method cycle hooks, silently dropping
-   the icache/bus-cache counters Instance already tracked; it now goes
-   through the one unified snapshot, which subsumes the hooks table. *)
-let stats_cmd =
-  let run board =
-    match make_board board with
-    | Error (`Msg m) ->
-      prerr_endline m;
-      1
-    | Ok k ->
-      Verify.Violation.set_enabled false;
-      ignore (Apps.Difftest.run_suite k);
-      Format.printf "%a@." Obs.Metrics.pp (k.Instance.metrics ());
-      0
-  in
-  Cmd.v
-    (Cmd.info "stats" ~doc:"Unified metrics snapshot after a suite run")
-    Term.(const run $ board_arg)
-
 let metrics_cmd =
   let run board json =
     match make_board board with
@@ -715,8 +696,10 @@ let replay_group =
     Cmd.v
       (Cmd.info "back"
          ~doc:
-           "Run to tick T, then step backward N ticks (restore the nearest interval \
-            snapshot and re-execute — output must be byte-identical to goto T-N)")
+           "Run to tick T, then step backward N ticks (restore the nearest interval or \
+            trail checkpoint at or below T-N and re-execute from it; the run to T leaves \
+            checkpoints at T-1, T-2, T-4, …, so N = 1 re-executes nothing — output must \
+            be byte-identical to goto T-N)")
       Term.(const run $ bundle_pos $ tick_arg $ n $ interval_arg)
   in
   let regs_cmd =
@@ -887,7 +870,6 @@ let () =
             difftest_cmd;
             attack_cmd;
             verify_cmd;
-            stats_cmd;
             metrics_cmd;
             trace_cmd;
             fuzz_cmd;

@@ -148,8 +148,8 @@ let load_suite (inst : Instance.t) =
     Apps.Suite.all
 
 (* Load the workload onto an already-built board, run it and collect the
-   observables. [make_engine] runs after loading, exactly where the
-   boot-per-round path has always created its engine. *)
+   observables. [make_engine] runs after loading, so the engine plans its
+   faults over the loaded process set. *)
 let run_workload (made : Targets.made) ~make_engine =
   let loaded = load_suite made.Targets.bd_instance @ Workload.load made in
   let engine : Engine.t option = make_engine () in
@@ -209,29 +209,22 @@ let setup_of ~chaos ~seed =
     st_rng_seed = 0x5EED + seed;
   }
 
-(* The boot-per-round path: a fresh board per run. *)
-let run_one (board : Targets.board) ~seed ~faults =
-  let chaos = if faults > 0 then Some (Chaos_intf.create ()) else None in
-  let made = board.Targets.tb_make (setup_of ~chaos ~seed) in
-  run_workload made ~make_engine:(fun () ->
-      Option.map
-        (fun ch -> Engine.create ~seed ~count:faults ~hooks:made.Targets.bd_hooks ch)
-        chaos)
-
-(* The forked path: boot the board once with an {e inert} chaos record
-   attached (no-op hooks — the kernel's behavior with them is byte-for-byte
-   that of a kernel built without), capture the pristine post-boot image
-   through the shared {!Ticktock.Replayable.Runner} (which also handles the
-   snapshot-file overlay: [Snapshot.load] refuses a file from another
-   architecture, board or memory layout, so a worker can only ever fork the
-   image it was meant to), then fork {e both} runs from it: golden first,
-   then the injected run with a seeded engine splicing its fault plan into
-   the same chaos record. The suite is (re)loaded per fork — the capture is
+(* Both runs of a round, as cells of the shared
+   {!Ticktock.Replayable.Runner}. A cell boots the board with an {e inert}
+   chaos record attached (no-op hooks — the kernel's behavior with them is
+   byte-for-byte that of a kernel built without): under [Boot] afresh for
+   each run, under [Fork] once per pair, capturing the pristine post-boot
+   image and forking both runs from it, and under [Snapshot_file] with the
+   file's image overlaid first ([Snapshot.load] refuses a file from
+   another architecture, board or memory layout, so a worker can only ever
+   fork the image it was meant to). The golden run goes first, then the
+   injected run with a seeded engine splicing its fault plan into the same
+   chaos record. The suite is (re)loaded per run — the capture is
    pre-load, so restored program closures are never shared with an
    already-stepped run. Boards are seed-dependent (the RNG capsule seed
-   folds the round seed in), so the registry key is board#seed and each
-   pair shares exactly one boot. *)
-let run_pair_forked ~exec (board : Targets.board) ~seed ~faults =
+   folds the round seed in), so the registry key is board#seed and under
+   [Fork] each pair shares exactly one boot. *)
+let run_pair ~exec (board : Targets.board) ~seed ~faults =
   let runner = Replayable.Runner.create ~exec () in
   let key = Printf.sprintf "%s#%d" board.Targets.tb_name seed in
   let boot () =
@@ -258,12 +251,7 @@ let row_diverges (g : row) (i : row) =
   || g.r_exit <> i.r_exit
 
 let classify_round ?(exec = Replayable.Exec.Boot) (board : Targets.board) ~seed ~faults =
-  let golden, injected =
-    match exec with
-    | Replayable.Exec.Boot -> (run_one board ~seed ~faults:0, run_one board ~seed ~faults)
-    | Replayable.Exec.Fork | Replayable.Exec.Snapshot_file _ ->
-      run_pair_forked ~exec board ~seed ~faults
-  in
+  let golden, injected = run_pair ~exec board ~seed ~faults in
   let diverged name =
     match (List.assoc_opt name golden.ro_rows, List.assoc_opt name injected.ro_rows) with
     | Some g, Some i -> row_diverges g i

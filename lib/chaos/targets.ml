@@ -1,9 +1,10 @@
 (** Concrete boards the chaos campaign injects into.
 
     One target per MPU architecture — ARMv7-M PMSA, ARMv8-M PMSA and RISC-V
-    PMP — each a TickTock kernel built through {!Ticktock.Boards} with the
-    standard capsule set and the robustness knobs (scrubber, watchdog,
-    restart backoff) threaded through. A target erases the per-functor
+    PMP — each a TickTock kernel built by one constructor, {!Target}, over
+    the board's {!Ticktock.Boards.Board} module, with the standard capsule
+    set and the robustness knobs (scrubber, watchdog, restart backoff)
+    threaded through. A target erases the per-functor
     kernel behind the closures the engine and campaign need: the
     type-erased {!Ticktock.Instance}, the live process blocks for memory
     flips, an architecture-specific MPU register corruptor, and the device
@@ -97,206 +98,76 @@ let corrupt_mpu ~arch ~snapshot ~restore hw rng =
 
 let payload_of name = name ^ "-image"
 
-let make_arm (s : setup) =
-  let rng_stall = ref 0 and ipc_nack = ref 0 in
-  let capsules, devices =
-    Capsules.Board_set.standard ~rng_seed:s.st_rng_seed ~rng_stall ~ipc_nack ()
-  in
-  let m, k =
-    Boards.make_ticktock_arm ~capsules ?chaos:s.st_chaos ~scrub_every:s.st_scrub_every
-      ~scrub_policy:s.st_scrub_policy ~watchdog:s.st_watchdog
-      ~restart_decay_span:s.st_restart_decay_span ()
-  in
-  let mem = m.Machine.arm_mem in
-  let dma = Dma.Engine.create mem in
-  let blocks () =
-    List.filter_map
-      (fun p ->
-        if Process.is_live p then
-          Some
-            ( p.Process.pid,
-              Boards.Ticktock_arm_mm.memory_start p.Process.alloc,
-              Boards.Ticktock_arm_mm.memory_size p.Process.alloc )
-        else None)
-      (Boards.Ticktock_arm.processes k)
-  in
-  let load ~name ~program ~min_ram ~policy =
-    Result.map
-      (fun p -> p.Process.pid)
-      (Boards.Ticktock_arm.create_process k ~name ~payload:(payload_of name)
-         ~program:(program ()) ~min_ram ~fault_policy:policy ~program_factory:program ())
-  in
-  {
-    bd_instance =
-      { (Boards.Ticktock_arm.instance k) with
-        Instance.snap_target =
-          Some
-            (Snapshot.add_components
-               (Boards.target ~arch:"armv7m" ~board:"ticktock-arm" ~mem
-                  ~devices:(Boards.arm_components m)
-                  ~kernel:
-                    (Boards.comp "kernel" ~capture:Boards.Ticktock_arm.capture
-                       ~restore:Boards.Ticktock_arm.restore
-                       ~fingerprint:Boards.Ticktock_arm.fingerprint k)
-                  ~procs:(fun () -> List.length (Boards.Ticktock_arm.processes k)))
-               (Capsules.Board_set.components devices))
-      };
-    bd_devices = devices;
-    bd_hooks =
-      {
-        Engine.hk_mem = mem;
-        hk_blocks = blocks;
-        hk_kernel_sram = Layout.kernel_sram;
-        hk_corrupt_mpu =
-          corrupt_mpu ~arch:"v7" ~snapshot:Boards.Ticktock_arm_mm.mpu_snapshot
-            ~restore:Boards.Ticktock_arm_mm.mpu_restore m.Machine.arm_mpu;
-        hk_uart_busy =
-          (fun ~cycles ->
-            Mpu_hw.Uart.inject_busy devices.Capsules.Board_set.uart ~cycles);
-        hk_rng_stall = rng_stall;
-        hk_ipc_nack = ipc_nack;
-        hk_dma_nack = Some (fun () -> Dma.Engine.inject_nack dma);
-        hk_obs = Boards.Ticktock_arm.obs_sink k;
-      };
-    bd_load = load;
-    bd_dma = dma;
-  }
+(* One constructor for every target: the standard board, built through
+   its {!Boards.Board} module, plus the fault levers. [tag] names the
+   register file in corruption details. *)
+module Target (MM : Mm.S) (B : module type of Boards.Board (MM)) = struct
+  let make ~board ~tag machine (s : setup) =
+    let rng_stall = ref 0 and ipc_nack = ref 0 in
+    let capsules, devices =
+      Capsules.Board_set.standard ~rng_seed:s.st_rng_seed ~rng_stall ~ipc_nack ()
+    in
+    let md = machine () in
+    let k =
+      B.build md ~capsules ?chaos:s.st_chaos ~scrub_every:s.st_scrub_every
+        ~scrub_policy:s.st_scrub_policy ~watchdog:s.st_watchdog
+        ~restart_decay_span:s.st_restart_decay_span ()
+    in
+    let mem = md.Boards.md_mem in
+    let dma = Dma.Engine.create mem in
+    let blocks () =
+      List.filter_map
+        (fun p ->
+          if Process.is_live p then
+            Some (p.Process.pid, MM.memory_start p.Process.alloc, MM.memory_size p.Process.alloc)
+          else None)
+        (B.K.processes k)
+    in
+    let load ~name ~program ~min_ram ~policy =
+      Result.map
+        (fun p -> p.Process.pid)
+        (B.K.create_process k ~name ~payload:(payload_of name) ~program:(program ()) ~min_ram
+           ~fault_policy:policy ~program_factory:program ())
+    in
+    let inst = B.erase ~board md k in
+    {
+      bd_instance =
+        { inst with
+          Instance.snap_target =
+            Option.map
+              (fun tgt -> Snapshot.add_components tgt (Capsules.Board_set.components devices))
+              inst.Instance.snap_target
+        };
+      bd_devices = devices;
+      bd_hooks =
+        {
+          Engine.hk_mem = mem;
+          hk_blocks = blocks;
+          hk_kernel_sram = Layout.kernel_sram;
+          hk_corrupt_mpu =
+            corrupt_mpu ~arch:tag ~snapshot:MM.mpu_snapshot ~restore:MM.mpu_restore md.Boards.md_hw;
+          hk_uart_busy =
+            (fun ~cycles -> Mpu_hw.Uart.inject_busy devices.Capsules.Board_set.uart ~cycles);
+          hk_rng_stall = rng_stall;
+          hk_ipc_nack = ipc_nack;
+          hk_dma_nack = Some (fun () -> Dma.Engine.inject_nack dma);
+          hk_obs = B.K.obs_sink k;
+        };
+      bd_load = load;
+      bd_dma = dma;
+    }
+end
 
-let make_arm_v8 (s : setup) =
-  let rng_stall = ref 0 and ipc_nack = ref 0 in
-  let capsules, devices =
-    Capsules.Board_set.standard ~rng_seed:s.st_rng_seed ~rng_stall ~ipc_nack ()
-  in
-  let m, k =
-    Boards.make_ticktock_arm_v8 ~capsules ?chaos:s.st_chaos ~scrub_every:s.st_scrub_every
-      ~scrub_policy:s.st_scrub_policy ~watchdog:s.st_watchdog
-      ~restart_decay_span:s.st_restart_decay_span ()
-  in
-  let mem = m.Machine.v8_mem in
-  let dma = Dma.Engine.create mem in
-  let blocks () =
-    List.filter_map
-      (fun p ->
-        if Process.is_live p then
-          Some
-            ( p.Process.pid,
-              Boards.Ticktock_arm_v8_mm.memory_start p.Process.alloc,
-              Boards.Ticktock_arm_v8_mm.memory_size p.Process.alloc )
-        else None)
-      (Boards.Ticktock_arm_v8.processes k)
-  in
-  let load ~name ~program ~min_ram ~policy =
-    Result.map
-      (fun p -> p.Process.pid)
-      (Boards.Ticktock_arm_v8.create_process k ~name ~payload:(payload_of name)
-         ~program:(program ()) ~min_ram ~fault_policy:policy ~program_factory:program ())
-  in
-  {
-    bd_instance =
-      { (Boards.Ticktock_arm_v8.instance k) with
-        Instance.snap_target =
-          Some
-            (Snapshot.add_components
-               (Boards.target ~arch:"armv8m" ~board:"ticktock-arm-v8" ~mem
-                  ~devices:(Boards.v8_components m)
-                  ~kernel:
-                    (Boards.comp "kernel" ~capture:Boards.Ticktock_arm_v8.capture
-                       ~restore:Boards.Ticktock_arm_v8.restore
-                       ~fingerprint:Boards.Ticktock_arm_v8.fingerprint k)
-                  ~procs:(fun () -> List.length (Boards.Ticktock_arm_v8.processes k)))
-               (Capsules.Board_set.components devices))
-      };
-    bd_devices = devices;
-    bd_hooks =
-      {
-        Engine.hk_mem = mem;
-        hk_blocks = blocks;
-        hk_kernel_sram = Layout.kernel_sram;
-        hk_corrupt_mpu =
-          corrupt_mpu ~arch:"v8" ~snapshot:Boards.Ticktock_arm_v8_mm.mpu_snapshot
-            ~restore:Boards.Ticktock_arm_v8_mm.mpu_restore m.Machine.v8_mpu;
-        hk_uart_busy =
-          (fun ~cycles ->
-            Mpu_hw.Uart.inject_busy devices.Capsules.Board_set.uart ~cycles);
-        hk_rng_stall = rng_stall;
-        hk_ipc_nack = ipc_nack;
-        hk_dma_nack = Some (fun () -> Dma.Engine.inject_nack dma);
-        hk_obs = Boards.Ticktock_arm_v8.obs_sink k;
-      };
-    bd_load = load;
-    bd_dma = dma;
-  }
-
-let make_e310 (s : setup) =
-  let rng_stall = ref 0 and ipc_nack = ref 0 in
-  let capsules, devices =
-    Capsules.Board_set.standard ~rng_seed:s.st_rng_seed ~rng_stall ~ipc_nack ()
-  in
-  let m, k =
-    Boards.make_ticktock_e310 ~capsules ?chaos:s.st_chaos ~scrub_every:s.st_scrub_every
-      ~scrub_policy:s.st_scrub_policy ~watchdog:s.st_watchdog
-      ~restart_decay_span:s.st_restart_decay_span ()
-  in
-  let mem = m.Machine.rv_mem in
-  let dma = Dma.Engine.create mem in
-  let blocks () =
-    List.filter_map
-      (fun p ->
-        if Process.is_live p then
-          Some
-            ( p.Process.pid,
-              Boards.Ticktock_e310_mm.memory_start p.Process.alloc,
-              Boards.Ticktock_e310_mm.memory_size p.Process.alloc )
-        else None)
-      (Boards.Ticktock_e310.processes k)
-  in
-  let load ~name ~program ~min_ram ~policy =
-    Result.map
-      (fun p -> p.Process.pid)
-      (Boards.Ticktock_e310.create_process k ~name ~payload:(payload_of name)
-         ~program:(program ()) ~min_ram ~fault_policy:policy ~program_factory:program ())
-  in
-  {
-    bd_instance =
-      { (Boards.Ticktock_e310.instance k) with
-        Instance.snap_target =
-          Some
-            (Snapshot.add_components
-               (Boards.target ~arch:"rv32-pmp" ~board:"ticktock-e310" ~mem
-                  ~devices:(Boards.rv_components m)
-                  ~kernel:
-                    (Boards.comp "kernel" ~capture:Boards.Ticktock_e310.capture
-                       ~restore:Boards.Ticktock_e310.restore
-                       ~fingerprint:Boards.Ticktock_e310.fingerprint k)
-                  ~procs:(fun () -> List.length (Boards.Ticktock_e310.processes k)))
-               (Capsules.Board_set.components devices))
-      };
-    bd_devices = devices;
-    bd_hooks =
-      {
-        Engine.hk_mem = mem;
-        hk_blocks = blocks;
-        hk_kernel_sram = Layout.kernel_sram;
-        hk_corrupt_mpu =
-          corrupt_mpu ~arch:"pmp" ~snapshot:Boards.Ticktock_e310_mm.mpu_snapshot
-            ~restore:Boards.Ticktock_e310_mm.mpu_restore m.Machine.rv_pmp;
-        hk_uart_busy =
-          (fun ~cycles ->
-            Mpu_hw.Uart.inject_busy devices.Capsules.Board_set.uart ~cycles);
-        hk_rng_stall = rng_stall;
-        hk_ipc_nack = ipc_nack;
-        hk_dma_nack = Some (fun () -> Dma.Engine.inject_nack dma);
-        hk_obs = Boards.Ticktock_e310.obs_sink k;
-      };
-    bd_load = load;
-    bd_dma = dma;
-  }
+module Arm = Target (Boards.Ticktock_arm_mm) (Boards.Ticktock_arm_b)
+module Arm_v8 = Target (Boards.Ticktock_arm_v8_mm) (Boards.Ticktock_arm_v8_b)
+module E310 = Target (Boards.Ticktock_e310_mm) (Boards.Ticktock_e310_b)
 
 let boards =
+  let row name make = { tb_name = name; tb_make = make ~board:name } in
   [
-    { tb_name = "ticktock-arm"; tb_make = make_arm };
-    { tb_name = "ticktock-arm-v8"; tb_make = make_arm_v8 };
-    { tb_name = "ticktock-e310"; tb_make = make_e310 };
+    row "ticktock-arm" (Arm.make ~tag:"v7" Boards.arm_plain);
+    row "ticktock-arm-v8" (Arm_v8.make ~tag:"v8" Boards.arm_v8);
+    row "ticktock-e310" (E310.make ~tag:"pmp" Boards.e310);
   ]
 
 let find name = List.find_opt (fun b -> b.tb_name = name) boards

@@ -3,7 +3,12 @@
     - TickTock (granular) and Tock (monolithic, upstream bugs present, and
       patched) on the ARM Cortex-M board;
     - TickTock on the three RISC-V PMP chips;
-    - Tock (monolithic) on PMP for the PMP bug reproductions. *)
+    - Tock (monolithic) on PMP for the PMP bug reproductions.
+
+    A configuration is a memory manager and a machine description. Each
+    machine family (ARMv7-M, ARMv8-M, RISC-V PMP) is described once below,
+    and {!Board} builds every configuration around its kernel the same
+    way, so a configuration is one row at the end of this file. *)
 
 module Ticktock_arm_mm = Mm.Ticktock (Cortexm_mpu)
 module Tock_arm_mm = Mm.Tock (Tock_cortexm_mpu.Upstream)
@@ -14,16 +19,6 @@ module Ticktock_earlgrey_mm = Mm.Ticktock (Pmp_mpu.Earlgrey)
 module Ticktock_qemu_mm = Mm.Ticktock (Pmp_mpu.QemuRv32)
 module Tock_pmp_mm = Mm.Tock (Tock_pmp_mpu.Upstream_e310)
 module Tock_pmp_patched_mm = Mm.Tock (Tock_pmp_mpu.Patched_e310)
-
-module Ticktock_arm = Kernel.Make (Ticktock_arm_mm)
-module Tock_arm = Kernel.Make (Tock_arm_mm)
-module Tock_arm_patched = Kernel.Make (Tock_arm_patched_mm)
-module Ticktock_arm_v8 = Kernel.Make (Ticktock_arm_v8_mm)
-module Ticktock_e310 = Kernel.Make (Ticktock_e310_mm)
-module Ticktock_earlgrey = Kernel.Make (Ticktock_earlgrey_mm)
-module Ticktock_qemu = Kernel.Make (Ticktock_qemu_mm)
-module Tock_pmp = Kernel.Make (Tock_pmp_mm)
-module Tock_pmp_patched = Kernel.Make (Tock_pmp_patched_mm)
 
 (* --- observability wiring ---
 
@@ -45,148 +40,26 @@ let resolve_obs = function
       Obs.Recorder.set_enabled r false;
       Some r)
 
-let wire_arm (m : Machine.arm) sink =
-  if sink <> None then begin
-    Memory.set_obs m.Machine.arm_mem sink;
-    Mpu_hw.Armv7m_mpu.set_obs m.Machine.arm_mpu sink;
-    Fluxarm.Cpu.set_obs m.Machine.arm_cpu sink
-  end
+(* --- machine descriptions ---
 
-let wire_v8 (m : Machine.arm_v8) sink =
-  if sink <> None then begin
-    Memory.set_obs m.Machine.v8_mem sink;
-    Mpu_hw.Armv8m_mpu.set_obs m.Machine.v8_mpu sink;
-    Fluxarm.Cpu.set_obs m.Machine.v8_cpu sink
-  end
+   What the board assembly needs from a machine family: the parts the
+   kernel takes, how to attach a recorder to the machine's emitting layers,
+   its stateful devices as snapshot components, and the replay navigator's
+   MPU view (the concrete hardware model's own pretty-printer, which only
+   the board can reach). The component order is the restore order; the
+   kernel's component is appended last by {!Board.erase}. *)
 
-let wire_rv (m : Machine.riscv) sink =
-  if sink <> None then begin
-    Memory.set_obs m.Machine.rv_mem sink;
-    Mpu_hw.Pmp.set_obs m.Machine.rv_pmp sink
-  end
-
-(** Fresh ARM machine + TickTock kernel. *)
-let make_ticktock_arm ?quantum ?capsules ?obs ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span () =
-  let m = Machine.create_arm () in
-  let k =
-    Ticktock_arm.create ~mem:m.Machine.arm_mem ~hw:m.Machine.arm_mpu
-      ~switcher:(Kernel.Arm_switch m.Machine.arm_cpu) ~systick:m.Machine.arm_systick
-      ?quantum ?capsules ?obs:(resolve_obs obs) ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span ()
-  in
-  wire_arm m (Ticktock_arm.obs_sink k);
-  (m, k)
-
-(** Fresh ARM machine + upstream (buggy) Tock kernel. *)
-let make_tock_arm ?quantum ?capsules ?obs ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span () =
-  let m = Machine.create_arm () in
-  let k =
-    Tock_arm.create ~mem:m.Machine.arm_mem ~hw:m.Machine.arm_mpu
-      ~switcher:(Kernel.Arm_switch m.Machine.arm_cpu) ~systick:m.Machine.arm_systick
-      ?quantum ?capsules ?obs:(resolve_obs obs) ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span ()
-  in
-  wire_arm m (Tock_arm.obs_sink k);
-  (m, k)
-
-(** Fresh ARM machine + patched Tock kernel. *)
-let make_tock_arm_patched ?quantum ?capsules ?obs ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span () =
-  let m = Machine.create_arm () in
-  let k =
-    Tock_arm_patched.create ~mem:m.Machine.arm_mem ~hw:m.Machine.arm_mpu
-      ~switcher:(Kernel.Arm_switch m.Machine.arm_cpu) ~systick:m.Machine.arm_systick
-      ?quantum ?capsules ?obs:(resolve_obs obs) ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span ()
-  in
-  wire_arm m (Tock_arm_patched.obs_sink k);
-  (m, k)
-
-(** Fresh RISC-V machine + TickTock kernel on the SiFive E310. *)
-let make_ticktock_e310 ?quantum ?capsules ?obs ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span () =
-  let m = Machine.create_riscv Mpu_hw.Pmp.sifive_e310 in
-  let k =
-    Ticktock_e310.create ~mem:m.Machine.rv_mem ~hw:m.Machine.rv_pmp
-      ~switcher:(Kernel.Sim_switch m.Machine.rv_machine_mode) ?quantum ?capsules
-      ?obs:(resolve_obs obs) ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span ()
-  in
-  wire_rv m (Ticktock_e310.obs_sink k);
-  (m, k)
-
-(** Fresh RISC-V machine + TickTock kernel on OpenTitan EarlGrey. The
-    kernel seals its own regions with locked Smepmp entries first. *)
-let make_ticktock_earlgrey ?quantum ?capsules ?obs ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span () =
-  let m = Machine.create_riscv Mpu_hw.Pmp.earlgrey in
-  Epmp.protect_kernel m.Machine.rv_pmp;
-  let k =
-    Ticktock_earlgrey.create ~mem:m.Machine.rv_mem ~hw:m.Machine.rv_pmp
-      ~switcher:(Kernel.Sim_switch m.Machine.rv_machine_mode) ?quantum ?capsules
-      ?obs:(resolve_obs obs) ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span ()
-  in
-  wire_rv m (Ticktock_earlgrey.obs_sink k);
-  (m, k)
-
-(** Fresh RISC-V machine + TickTock kernel on the QEMU rv32 virt board. *)
-let make_ticktock_qemu ?quantum ?capsules ?obs ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span () =
-  let m = Machine.create_riscv Mpu_hw.Pmp.qemu_rv32_virt in
-  let k =
-    Ticktock_qemu.create ~mem:m.Machine.rv_mem ~hw:m.Machine.rv_pmp
-      ~switcher:(Kernel.Sim_switch m.Machine.rv_machine_mode) ?quantum ?capsules
-      ?obs:(resolve_obs obs) ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span ()
-  in
-  wire_rv m (Ticktock_qemu.obs_sink k);
-  (m, k)
-
-(** Fresh RISC-V machine + upstream (buggy) monolithic Tock kernel on PMP. *)
-let make_tock_pmp ?quantum ?capsules ?obs ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span () =
-  let m = Machine.create_riscv Mpu_hw.Pmp.sifive_e310 in
-  let k =
-    Tock_pmp.create ~mem:m.Machine.rv_mem ~hw:m.Machine.rv_pmp
-      ~switcher:(Kernel.Sim_switch m.Machine.rv_machine_mode) ?quantum ?capsules
-      ?obs:(resolve_obs obs) ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span ()
-  in
-  wire_rv m (Tock_pmp.obs_sink k);
-  (m, k)
-
-(** Fresh RISC-V machine + patched monolithic Tock kernel on PMP. *)
-let make_tock_pmp_patched ?quantum ?capsules ?obs ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span () =
-  let m = Machine.create_riscv Mpu_hw.Pmp.sifive_e310 in
-  let k =
-    Tock_pmp_patched.create ~mem:m.Machine.rv_mem ~hw:m.Machine.rv_pmp
-      ~switcher:(Kernel.Sim_switch m.Machine.rv_machine_mode) ?quantum ?capsules
-      ?obs:(resolve_obs obs) ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span ()
-  in
-  wire_rv m (Tock_pmp_patched.obs_sink k);
-  (m, k)
-
-(** Fresh ARM machine + TickTock kernel whose context switch runs assembled
-    Thumb-2 machine code through the fetch-decode-execute engine. *)
-let make_ticktock_arm_mc ?quantum ?capsules ?obs ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span () =
-  let m = Machine.create_arm () in
-  let code = Fluxarm.Handlers_mc.install m.Machine.arm_mem in
-  let k =
-    Ticktock_arm.create ~mem:m.Machine.arm_mem ~hw:m.Machine.arm_mpu
-      ~switcher:(Kernel.Arm_mc_switch (m.Machine.arm_cpu, code))
-      ~systick:m.Machine.arm_systick ?quantum ?capsules ?obs:(resolve_obs obs) ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span ()
-  in
-  wire_arm m (Ticktock_arm.obs_sink k);
-  (m, k)
-
-(** Fresh ARMv8-M (PMSAv8) machine + TickTock kernel. *)
-let make_ticktock_arm_v8 ?quantum ?capsules ?obs ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span () =
-  let m = Machine.create_arm_v8 () in
-  let k =
-    Ticktock_arm_v8.create ~mem:m.Machine.v8_mem ~hw:m.Machine.v8_mpu
-      ~switcher:(Kernel.Arm_switch m.Machine.v8_cpu) ~systick:m.Machine.v8_systick ?quantum
-      ?capsules ?obs:(resolve_obs obs) ?chaos ?scrub_every ?scrub_policy ?watchdog ?restart_decay_span ()
-  in
-  wire_v8 m (Ticktock_arm_v8.obs_sink k);
-  (m, k)
-
-(* --- snapshot targets ---
-
-   Only the board constructor sees the full device complement, so targets
-   are assembled here. The component order is the restore order and the
-   kernel goes LAST — its thunk rewrites the obs recorder ring (erasing the
-   [Buscache_flush] the memory restore just emitted) and re-pins the global
-   cycle counter, which is what makes a forked round byte-identical to a
-   booted one. *)
+type ('raw, 'hw) machine = {
+  md_raw : 'raw;  (** the concrete machine, as [make] returns it *)
+  md_arch : string;  (** the snapshot target's architecture tag *)
+  md_mem : Memory.t;
+  md_hw : 'hw;
+  md_switcher : Kernel.switcher;
+  md_systick : Mpu_hw.Systick.t option;
+  md_wire : Obs.Event.sink option -> unit;
+  md_devices : Snapshot.component list;
+  md_mpu : unit -> string;
+}
 
 let comp name ~capture ~restore ~fingerprint obj =
   {
@@ -198,179 +71,204 @@ let comp name ~capture ~restore ~fingerprint obj =
     co_fingerprint = (fun () -> fingerprint obj);
   }
 
-let arm_components (m : Machine.arm) =
-  [
-    comp "cpu" ~capture:Fluxarm.Cpu.capture_state ~restore:Fluxarm.Cpu.restore_state
-      ~fingerprint:Fluxarm.Cpu.fingerprint m.Machine.arm_cpu;
-    comp "mpu" ~capture:Mpu_hw.Armv7m_mpu.capture_state
-      ~restore:Mpu_hw.Armv7m_mpu.restore_state ~fingerprint:Mpu_hw.Armv7m_mpu.fingerprint
-      m.Machine.arm_mpu;
-    comp "systick" ~capture:Mpu_hw.Systick.capture_state ~restore:Mpu_hw.Systick.restore_state
-      ~fingerprint:Mpu_hw.Systick.fingerprint m.Machine.arm_systick;
-    comp "nvic" ~capture:Mpu_hw.Nvic.capture_state ~restore:Mpu_hw.Nvic.restore_state
-      ~fingerprint:Mpu_hw.Nvic.fingerprint m.Machine.arm_nvic;
-    comp "scb" ~capture:Mpu_hw.Scb.capture_state ~restore:Mpu_hw.Scb.restore_state
-      ~fingerprint:Mpu_hw.Scb.fingerprint m.Machine.arm_scb;
-  ]
-
-let v8_components (m : Machine.arm_v8) =
-  [
-    comp "cpu" ~capture:Fluxarm.Cpu.capture_state ~restore:Fluxarm.Cpu.restore_state
-      ~fingerprint:Fluxarm.Cpu.fingerprint m.Machine.v8_cpu;
-    comp "mpu" ~capture:Mpu_hw.Armv8m_mpu.capture_state
-      ~restore:Mpu_hw.Armv8m_mpu.restore_state ~fingerprint:Mpu_hw.Armv8m_mpu.fingerprint
-      m.Machine.v8_mpu;
-    comp "systick" ~capture:Mpu_hw.Systick.capture_state ~restore:Mpu_hw.Systick.restore_state
-      ~fingerprint:Mpu_hw.Systick.fingerprint m.Machine.v8_systick;
-  ]
-
-let rv_components (m : Machine.riscv) =
-  [
-    comp "pmp" ~capture:Mpu_hw.Pmp.capture_state ~restore:Mpu_hw.Pmp.restore_state
-      ~fingerprint:Mpu_hw.Pmp.fingerprint m.Machine.rv_pmp;
-    comp "machine-mode"
-      ~capture:(fun r -> !r)
-      ~restore:(fun r v -> r := v)
-      ~fingerprint:(fun r -> Fp.bool Fp.seed !r)
-      m.Machine.rv_machine_mode;
-  ]
-
-let target ~arch ~board ~mem ~devices ~kernel ~procs =
+(** An ARMv7-M (NRF52840-style) machine. With [~mc:true] the context
+    switch runs assembled Thumb-2 machine code through the
+    fetch-decode-execute engine. *)
+let arm ~mc () =
+  let m = Machine.create_arm () in
+  let mem = m.Machine.arm_mem and cpu = m.Machine.arm_cpu and mpu = m.Machine.arm_mpu in
   {
-    Snapshot.tg_arch = arch;
-    tg_board = board;
-    tg_mem = mem;
-    tg_components = devices @ [ kernel ];
-    tg_proc_count = procs;
+    md_raw = m;
+    md_arch = "armv7m";
+    md_mem = mem;
+    md_hw = mpu;
+    md_switcher =
+      (if mc then Kernel.Arm_mc_switch (cpu, Fluxarm.Handlers_mc.install mem)
+       else Kernel.Arm_switch cpu);
+    md_systick = Some m.Machine.arm_systick;
+    md_wire =
+      (fun sink ->
+        Memory.set_obs mem sink;
+        Mpu_hw.Armv7m_mpu.set_obs mpu sink;
+        Fluxarm.Cpu.set_obs cpu sink);
+    md_devices =
+      [
+        comp "cpu" ~capture:Fluxarm.Cpu.capture_state ~restore:Fluxarm.Cpu.restore_state
+          ~fingerprint:Fluxarm.Cpu.fingerprint cpu;
+        comp "mpu" ~capture:Mpu_hw.Armv7m_mpu.capture_state
+          ~restore:Mpu_hw.Armv7m_mpu.restore_state ~fingerprint:Mpu_hw.Armv7m_mpu.fingerprint mpu;
+        comp "systick" ~capture:Mpu_hw.Systick.capture_state
+          ~restore:Mpu_hw.Systick.restore_state ~fingerprint:Mpu_hw.Systick.fingerprint
+          m.Machine.arm_systick;
+        comp "nvic" ~capture:Mpu_hw.Nvic.capture_state ~restore:Mpu_hw.Nvic.restore_state
+          ~fingerprint:Mpu_hw.Nvic.fingerprint m.Machine.arm_nvic;
+        comp "scb" ~capture:Mpu_hw.Scb.capture_state ~restore:Mpu_hw.Scb.restore_state
+          ~fingerprint:Mpu_hw.Scb.fingerprint m.Machine.arm_scb;
+      ];
+    md_mpu = (fun () -> Format.asprintf "%a" Mpu_hw.Armv7m_mpu.pp mpu);
   }
 
-(* The replay navigator's MPU view: the concrete hardware model's own
-   pretty-printer, which only the board constructor can reach. *)
-let mpu_arm (m : Machine.arm) () = Format.asprintf "%a" Mpu_hw.Armv7m_mpu.pp m.Machine.arm_mpu
-let mpu_v8 (m : Machine.arm_v8) () = Format.asprintf "%a" Mpu_hw.Armv8m_mpu.pp m.Machine.v8_mpu
-let mpu_rv (m : Machine.riscv) () = Format.asprintf "%a" Mpu_hw.Pmp.pp m.Machine.rv_pmp
+(** An ARMv8-M (Cortex-M33-style, PMSAv8) machine. *)
+let arm_v8 () =
+  let m = Machine.create_arm_v8 () in
+  let mem = m.Machine.v8_mem and cpu = m.Machine.v8_cpu and mpu = m.Machine.v8_mpu in
+  {
+    md_raw = m;
+    md_arch = "armv8m";
+    md_mem = mem;
+    md_hw = mpu;
+    md_switcher = Kernel.Arm_switch cpu;
+    md_systick = Some m.Machine.v8_systick;
+    md_wire =
+      (fun sink ->
+        Memory.set_obs mem sink;
+        Mpu_hw.Armv8m_mpu.set_obs mpu sink;
+        Fluxarm.Cpu.set_obs cpu sink);
+    md_devices =
+      [
+        comp "cpu" ~capture:Fluxarm.Cpu.capture_state ~restore:Fluxarm.Cpu.restore_state
+          ~fingerprint:Fluxarm.Cpu.fingerprint cpu;
+        comp "mpu" ~capture:Mpu_hw.Armv8m_mpu.capture_state
+          ~restore:Mpu_hw.Armv8m_mpu.restore_state ~fingerprint:Mpu_hw.Armv8m_mpu.fingerprint mpu;
+        comp "systick" ~capture:Mpu_hw.Systick.capture_state
+          ~restore:Mpu_hw.Systick.restore_state ~fingerprint:Mpu_hw.Systick.fingerprint
+          m.Machine.v8_systick;
+      ];
+    md_mpu = (fun () -> Format.asprintf "%a" Mpu_hw.Armv8m_mpu.pp mpu);
+  }
 
-(* --- type-erased instances for the evaluation harness --- *)
+(** A RISC-V machine on a PMP chip. [seal] programs the PMP before the
+    kernel boots: EarlGrey's kernel seals its own regions with locked
+    Smepmp entries first. *)
+let riscv ~seal chip () =
+  let m = Machine.create_riscv chip in
+  let mem = m.Machine.rv_mem and pmp = m.Machine.rv_pmp in
+  seal pmp;
+  {
+    md_raw = m;
+    md_arch = "rv32-pmp";
+    md_mem = mem;
+    md_hw = pmp;
+    md_switcher = Kernel.Sim_switch m.Machine.rv_machine_mode;
+    md_systick = None;
+    md_wire =
+      (fun sink ->
+        Memory.set_obs mem sink;
+        Mpu_hw.Pmp.set_obs pmp sink);
+    md_devices =
+      [
+        comp "pmp" ~capture:Mpu_hw.Pmp.capture_state ~restore:Mpu_hw.Pmp.restore_state
+          ~fingerprint:Mpu_hw.Pmp.fingerprint pmp;
+        comp "machine-mode"
+          ~capture:(fun r -> !r)
+          ~restore:(fun r v -> r := v)
+          ~fingerprint:(fun r -> Fp.bool Fp.seed !r)
+          m.Machine.rv_machine_mode;
+      ];
+    md_mpu = (fun () -> Format.asprintf "%a" Mpu_hw.Pmp.pp pmp);
+  }
 
-let instance_ticktock_arm_v8 ?quantum ?capsules ?obs () =
-  let m, k = make_ticktock_arm_v8 ?quantum ?capsules ?obs () in
-  let tgt =
-    target ~arch:"armv8m" ~board:"ticktock-arm-v8" ~mem:m.Machine.v8_mem
-      ~devices:(v8_components m)
-      ~kernel:
-        (comp "kernel" ~capture:Ticktock_arm_v8.capture ~restore:Ticktock_arm_v8.restore
-           ~fingerprint:Ticktock_arm_v8.fingerprint k)
-      ~procs:(fun () -> List.length (Ticktock_arm_v8.processes k))
-  in
-  { (Ticktock_arm_v8.instance k) with Instance.snap_target = Some tgt; mpu_describe = mpu_v8 m }
+(* --- the board assembly --- *)
 
-let instance_ticktock_arm_mc ?quantum ?capsules ?obs () =
-  let m, k = make_ticktock_arm_mc ?quantum ?capsules ?obs () in
-  let tgt =
-    target ~arch:"armv7m" ~board:"ticktock-arm-mc" ~mem:m.Machine.arm_mem
-      ~devices:(arm_components m)
-      ~kernel:
-        (comp "kernel" ~capture:Ticktock_arm.capture ~restore:Ticktock_arm.restore
-           ~fingerprint:Ticktock_arm.fingerprint k)
-      ~procs:(fun () -> List.length (Ticktock_arm.processes k))
-  in
-  { (Ticktock_arm.instance k) with Instance.snap_target = Some tgt; mpu_describe = mpu_arm m }
+module Board (MM : Mm.S) = struct
+  module K = Kernel.Make (MM)
 
-let instance_ticktock_arm ?quantum ?capsules ?obs () =
-  let m, k = make_ticktock_arm ?quantum ?capsules ?obs () in
-  let tgt =
-    target ~arch:"armv7m" ~board:"ticktock-arm" ~mem:m.Machine.arm_mem
-      ~devices:(arm_components m)
-      ~kernel:
-        (comp "kernel" ~capture:Ticktock_arm.capture ~restore:Ticktock_arm.restore
-           ~fingerprint:Ticktock_arm.fingerprint k)
-      ~procs:(fun () -> List.length (Ticktock_arm.processes k))
-  in
-  { (Ticktock_arm.instance k) with Instance.snap_target = Some tgt; mpu_describe = mpu_arm m }
+  (** Boot a kernel on a described machine and wire its recorder into the
+      machine's emitting layers. *)
+  let build md ?quantum ?capsules ?obs ?chaos ?scrub_every ?scrub_policy ?watchdog
+      ?restart_decay_span () =
+    let k =
+      K.create ~mem:md.md_mem ~hw:md.md_hw ~switcher:md.md_switcher ?systick:md.md_systick
+        ?quantum ?capsules ?obs:(resolve_obs obs) ?chaos ?scrub_every ?scrub_policy ?watchdog
+        ?restart_decay_span ()
+    in
+    let sink = K.obs_sink k in
+    if sink <> None then md.md_wire sink;
+    k
 
-let instance_tock_arm ?quantum ?capsules ?obs () =
-  let m, k = make_tock_arm ?quantum ?capsules ?obs () in
-  let tgt =
-    target ~arch:"armv7m" ~board:"tock-arm-upstream" ~mem:m.Machine.arm_mem
-      ~devices:(arm_components m)
-      ~kernel:
-        (comp "kernel" ~capture:Tock_arm.capture ~restore:Tock_arm.restore
-           ~fingerprint:Tock_arm.fingerprint k)
-      ~procs:(fun () -> List.length (Tock_arm.processes k))
-  in
-  { (Tock_arm.instance k) with Instance.snap_target = Some tgt; mpu_describe = mpu_arm m }
+  (** The type-erased instance, carrying the board's snapshot target and
+      MPU view. The kernel goes LAST in the restore order — its thunk
+      rewrites the obs recorder ring (erasing the [Buscache_flush] the
+      memory restore just emitted) and re-pins the global cycle counter,
+      which is what makes a forked round byte-identical to a booted one. *)
+  let erase ~board md k =
+    let kernel = comp "kernel" ~capture:K.capture ~restore:K.restore ~fingerprint:K.fingerprint k in
+    let target =
+      {
+        Snapshot.tg_arch = md.md_arch;
+        tg_board = board;
+        tg_mem = md.md_mem;
+        tg_components = md.md_devices @ [ kernel ];
+        tg_proc_count = (fun () -> List.length (K.processes k));
+      }
+    in
+    { (K.instance k) with Instance.snap_target = Some target; mpu_describe = md.md_mpu }
 
-let instance_tock_arm_patched ?quantum ?capsules ?obs () =
-  let m, k = make_tock_arm_patched ?quantum ?capsules ?obs () in
-  let tgt =
-    target ~arch:"armv7m" ~board:"tock-arm-patched" ~mem:m.Machine.arm_mem
-      ~devices:(arm_components m)
-      ~kernel:
-        (comp "kernel" ~capture:Tock_arm_patched.capture ~restore:Tock_arm_patched.restore
-           ~fingerprint:Tock_arm_patched.fingerprint k)
-      ~procs:(fun () -> List.length (Tock_arm_patched.processes k))
-  in
-  { (Tock_arm_patched.instance k) with Instance.snap_target = Some tgt; mpu_describe = mpu_arm m }
+  (** A fresh machine and its kernel. *)
+  let make machine ?quantum ?capsules ?obs ?chaos ?scrub_every ?scrub_policy ?watchdog
+      ?restart_decay_span () =
+    let md = machine () in
+    ( md.md_raw,
+      build md ?quantum ?capsules ?obs ?chaos ?scrub_every ?scrub_policy ?watchdog
+        ?restart_decay_span () )
 
-let instance_ticktock_e310 ?quantum ?capsules ?obs () =
-  let m, k = make_ticktock_e310 ?quantum ?capsules ?obs () in
-  let tgt =
-    target ~arch:"rv32-pmp" ~board:"ticktock-e310" ~mem:m.Machine.rv_mem
-      ~devices:(rv_components m)
-      ~kernel:
-        (comp "kernel" ~capture:Ticktock_e310.capture ~restore:Ticktock_e310.restore
-           ~fingerprint:Ticktock_e310.fingerprint k)
-      ~procs:(fun () -> List.length (Ticktock_e310.processes k))
-  in
-  { (Ticktock_e310.instance k) with Instance.snap_target = Some tgt; mpu_describe = mpu_rv m }
+  (** A fresh machine and its kernel, type-erased for the evaluation
+      harness. *)
+  let instance ~board machine ?quantum ?capsules ?obs () =
+    let md = machine () in
+    erase ~board md (build md ?quantum ?capsules ?obs ())
+end
 
-let instance_ticktock_earlgrey ?quantum ?capsules ?obs () =
-  let m, k = make_ticktock_earlgrey ?quantum ?capsules ?obs () in
-  let tgt =
-    target ~arch:"rv32-pmp" ~board:"ticktock-earlgrey" ~mem:m.Machine.rv_mem
-      ~devices:(rv_components m)
-      ~kernel:
-        (comp "kernel" ~capture:Ticktock_earlgrey.capture ~restore:Ticktock_earlgrey.restore
-           ~fingerprint:Ticktock_earlgrey.fingerprint k)
-      ~procs:(fun () -> List.length (Ticktock_earlgrey.processes k))
-  in
-  { (Ticktock_earlgrey.instance k) with Instance.snap_target = Some tgt; mpu_describe = mpu_rv m }
+module Ticktock_arm_b = Board (Ticktock_arm_mm)
+module Tock_arm_b = Board (Tock_arm_mm)
+module Tock_arm_patched_b = Board (Tock_arm_patched_mm)
+module Ticktock_arm_v8_b = Board (Ticktock_arm_v8_mm)
+module Ticktock_e310_b = Board (Ticktock_e310_mm)
+module Ticktock_earlgrey_b = Board (Ticktock_earlgrey_mm)
+module Ticktock_qemu_b = Board (Ticktock_qemu_mm)
+module Tock_pmp_b = Board (Tock_pmp_mm)
+module Tock_pmp_patched_b = Board (Tock_pmp_patched_mm)
 
-let instance_ticktock_qemu ?quantum ?capsules ?obs () =
-  let m, k = make_ticktock_qemu ?quantum ?capsules ?obs () in
-  let tgt =
-    target ~arch:"rv32-pmp" ~board:"ticktock-qemu-rv32" ~mem:m.Machine.rv_mem
-      ~devices:(rv_components m)
-      ~kernel:
-        (comp "kernel" ~capture:Ticktock_qemu.capture ~restore:Ticktock_qemu.restore
-           ~fingerprint:Ticktock_qemu.fingerprint k)
-      ~procs:(fun () -> List.length (Ticktock_qemu.processes k))
-  in
-  { (Ticktock_qemu.instance k) with Instance.snap_target = Some tgt; mpu_describe = mpu_rv m }
+module Ticktock_arm = Ticktock_arm_b.K
+module Tock_arm = Tock_arm_b.K
+module Tock_arm_patched = Tock_arm_patched_b.K
+module Ticktock_arm_v8 = Ticktock_arm_v8_b.K
+module Ticktock_e310 = Ticktock_e310_b.K
+module Ticktock_earlgrey = Ticktock_earlgrey_b.K
+module Ticktock_qemu = Ticktock_qemu_b.K
+module Tock_pmp = Tock_pmp_b.K
+module Tock_pmp_patched = Tock_pmp_patched_b.K
 
-let instance_tock_pmp ?quantum ?capsules ?obs () =
-  let m, k = make_tock_pmp ?quantum ?capsules ?obs () in
-  let tgt =
-    target ~arch:"rv32-pmp" ~board:"tock-pmp-upstream" ~mem:m.Machine.rv_mem
-      ~devices:(rv_components m)
-      ~kernel:
-        (comp "kernel" ~capture:Tock_pmp.capture ~restore:Tock_pmp.restore
-           ~fingerprint:Tock_pmp.fingerprint k)
-      ~procs:(fun () -> List.length (Tock_pmp.processes k))
-  in
-  { (Tock_pmp.instance k) with Instance.snap_target = Some tgt; mpu_describe = mpu_rv m }
+let arm_plain = arm ~mc:false
+let arm_mc = arm ~mc:true
+let e310 = riscv ~seal:ignore Mpu_hw.Pmp.sifive_e310
+let earlgrey = riscv ~seal:Epmp.protect_kernel Mpu_hw.Pmp.earlgrey
+let qemu_rv32 = riscv ~seal:ignore Mpu_hw.Pmp.qemu_rv32_virt
 
-let instance_tock_pmp_patched ?quantum ?capsules ?obs () =
-  let m, k = make_tock_pmp_patched ?quantum ?capsules ?obs () in
-  let tgt =
-    target ~arch:"rv32-pmp" ~board:"tock-pmp-patched" ~mem:m.Machine.rv_mem
-      ~devices:(rv_components m)
-      ~kernel:
-        (comp "kernel" ~capture:Tock_pmp_patched.capture ~restore:Tock_pmp_patched.restore
-           ~fingerprint:Tock_pmp_patched.fingerprint k)
-      ~procs:(fun () -> List.length (Tock_pmp_patched.processes k))
-  in
-  { (Tock_pmp_patched.instance k) with Instance.snap_target = Some tgt; mpu_describe = mpu_rv m }
+(* --- the configurations: a fresh machine and kernel, and its erased
+   instance --- *)
+
+let make_ticktock_arm = Ticktock_arm_b.make arm_plain
+let make_ticktock_arm_mc = Ticktock_arm_b.make arm_mc
+let make_ticktock_arm_v8 = Ticktock_arm_v8_b.make arm_v8
+let make_tock_arm = Tock_arm_b.make arm_plain
+let make_tock_arm_patched = Tock_arm_patched_b.make arm_plain
+let make_ticktock_e310 = Ticktock_e310_b.make e310
+let make_ticktock_earlgrey = Ticktock_earlgrey_b.make earlgrey
+let make_ticktock_qemu = Ticktock_qemu_b.make qemu_rv32
+let make_tock_pmp = Tock_pmp_b.make e310
+let make_tock_pmp_patched = Tock_pmp_patched_b.make e310
+
+let instance_ticktock_arm = Ticktock_arm_b.instance ~board:"ticktock-arm" arm_plain
+let instance_ticktock_arm_mc = Ticktock_arm_b.instance ~board:"ticktock-arm-mc" arm_mc
+let instance_ticktock_arm_v8 = Ticktock_arm_v8_b.instance ~board:"ticktock-arm-v8" arm_v8
+let instance_tock_arm = Tock_arm_b.instance ~board:"tock-arm-upstream" arm_plain
+let instance_tock_arm_patched = Tock_arm_patched_b.instance ~board:"tock-arm-patched" arm_plain
+let instance_ticktock_e310 = Ticktock_e310_b.instance ~board:"ticktock-e310" e310
+let instance_ticktock_earlgrey = Ticktock_earlgrey_b.instance ~board:"ticktock-earlgrey" earlgrey
+let instance_ticktock_qemu = Ticktock_qemu_b.instance ~board:"ticktock-qemu-rv32" qemu_rv32
+let instance_tock_pmp = Tock_pmp_b.instance ~board:"tock-pmp-upstream" e310
+let instance_tock_pmp_patched = Tock_pmp_patched_b.instance ~board:"tock-pmp-patched" e310
 
 (** Every kernel configuration, for harnesses that sweep all of them. *)
 let all_instances : (string * (unit -> Instance.t)) list =

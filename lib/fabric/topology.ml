@@ -41,7 +41,7 @@ type agent = { ag_name : string; ag_tick : now:int -> unit }
 
 type node_spec = {
   ns_name : string;
-  ns_board : string;  (** a {!Fleet.Campaign.builders} board name *)
+  ns_board : string;  (** one of {!Fleet.Campaign.board_names} *)
   ns_apps : app list;
   ns_registry : string -> Userland.program option;
       (** boot-loading registry: must resolve every app name that may ever

@@ -43,18 +43,11 @@ let default_plans =
     combo. Assembly (standard capsule set, device splicing, RNG reseed
     wiring) lives in {!Capsules.Std_board}; this list is the fleet's
     verified subset of it, in scheduling order. *)
-let fleet_boards =
+let board_names =
   [
     "ticktock-arm"; "ticktock-arm-mc"; "ticktock-arm-v8";
     "ticktock-e310"; "ticktock-earlgrey"; "ticktock-qemu";
   ]
-
-let builders : (string * (capsules:Capsule_intf.t list -> unit -> Instance.t)) list =
-  List.map
-    (fun n -> (n, List.assoc n Capsules.Std_board.builders))
-    fleet_boards
-
-let board_names = fleet_boards
 
 let make_board name =
   if not (List.mem name board_names) then

@@ -77,20 +77,88 @@ let test_edges () =
 
    Taken with the byte-at-a-time fold. The kernel fingerprint hashes the
    absolute cycle counter, so each board boots from zero, as replay
-   sessions do. *)
+   sessions do. Every board any harness can build is pinned twice: freshly
+   booted (memory map, device registers in restore order, kernel state)
+   and after a short run (what the board then does with them). *)
+
+let fp_of (k : Instance.t) = Fp.to_hex (Snapshot.fingerprint (Option.get k.Instance.snap_target))
+
+let check_board what ~fresh ~after boot run =
+  Cycles.set Cycles.global 0;
+  let k = boot () in
+  check_string (what ^ ", fresh") fresh (fp_of k);
+  Verify.Violation.with_enabled false (fun () -> run k);
+  check_string (what ^ ", after a run") after (fp_of k)
+
+let run_suite k = ignore (Apps.Difftest.run_suite ~max_ticks:300 k)
+
+let boards_golden =
+  [
+    ("ticktock-arm", "7879e3b96207689f", "8acad5028cfeece5");
+    ("ticktock-arm-mc", "c15ec1888d25738d", "931323dffd4df48a");
+    ("ticktock-arm-v8", "261333c054c14f63", "1a9dd27326fe7bac");
+    ("tock-arm-upstream", "c0419aba3b1fa6b1", "fa4579da419e004b");
+    ("tock-arm-patched", "e694d7097f2401a8", "76caa8036110a4fa");
+    ("ticktock-e310", "2a74c86b7560ad4e", "91b820faf8d82e54");
+    ("ticktock-earlgrey", "6a59ad2edcba6f2b", "4e30ad5674c122fd");
+    ("ticktock-qemu-rv32", "88d4adc31639b5c4", "60a1240f23fd1757");
+    ("tock-pmp-upstream", "934689e1680bda97", "9c234ced441824e0");
+    ("tock-pmp-patched", "3a8ba926b33181a0", "e154800b0a54bc8f");
+  ]
+
+let std_board_golden =
+  [
+    ("ticktock-arm", "f4500780dd6b4ebd", "663564e880136028");
+    ("ticktock-arm-mc", "d8574a2dbc835953", "5e9020c6326e396e");
+    ("ticktock-arm-v8", "37f40ac06d767921", "e88b3809d3386505");
+    ("ticktock-e310", "07d3ae5e0928d2bc", "4a40127f1a2b4b22");
+    ("ticktock-earlgrey", "04bd95dd1841b997", "28663e478233d90b");
+    ("ticktock-qemu", "821acfa7fde9b382", "7e91d7b6e02d99fc");
+    ("tock-arm-upstream", "b3f8ab1b1d3aaa37", "bda6388029cf023d");
+    ("tock-arm-patched", "f7b74f5793d89056", "a63d197774626288");
+  ]
+
+let chaos_golden =
+  [
+    ("ticktock-arm", "5be77fdd1d850e73", "4b13be30b5f1d265");
+    ("ticktock-arm-v8", "f932db4ec8fcbf07", "e05918da94670195");
+    ("ticktock-e310", "c10ada8071bb00b6", "dce40f42295c4242");
+  ]
+
+(* A board added to a registry without a pinned value fails here. *)
+let check_pinned what names golden =
+  Alcotest.(check (list string))
+    (what ^ ": every board pinned")
+    names
+    (List.map (fun (b, _, _) -> b) golden)
 
 let test_golden_boards () =
+  check_pinned "Boards" (List.map fst Boards.all_instances) boards_golden;
+  check_pinned "Std_board" Capsules.Std_board.board_names std_board_golden;
+  check_pinned "Chaos.Targets"
+    (List.map (fun b -> b.Chaos.Targets.tb_name) Chaos.Targets.boards)
+    chaos_golden;
   List.iter
-    (fun (board, want) ->
-      Cycles.set Cycles.global 0;
-      let k = Capsules.Std_board.make ~what:"Test" board in
-      check_string board want
-        (Fp.to_hex (Snapshot.fingerprint (Option.get k.Instance.snap_target))))
-    [
-      ("ticktock-arm", "f4500780dd6b4ebd");
-      ("ticktock-arm-v8", "37f40ac06d767921");
-      ("ticktock-e310", "07d3ae5e0928d2bc");
-    ]
+    (fun (board, fresh, after) ->
+      check_board ("Boards " ^ board) ~fresh ~after (List.assoc board Boards.all_instances) run_suite)
+    boards_golden;
+  List.iter
+    (fun (board, fresh, after) ->
+      check_board ("Std_board " ^ board) ~fresh ~after
+        (fun () -> Capsules.Std_board.make ~what:"Test" board)
+        run_suite)
+    std_board_golden;
+  List.iter
+    (fun (board, fresh, after) ->
+      let target = Option.get (Chaos.Targets.find board) in
+      check_board ("Chaos.Targets " ^ board) ~fresh ~after
+        (fun () ->
+          let setup = Chaos.Campaign.setup_of ~chaos:(Some (Chaos_intf.create ())) ~seed:1 in
+          (target.Chaos.Targets.tb_make setup).Chaos.Targets.bd_instance)
+        (fun k ->
+          ignore (Chaos.Campaign.load_suite k);
+          k.Instance.run ~max_ticks:500))
+    chaos_golden
 
 (* The session that test/expected/replay-arm-seed7.tickrpl holds: its final
    fingerprint is pinned here and its on-disk form by scripts/ci.sh. *)

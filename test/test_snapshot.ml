@@ -26,8 +26,9 @@ let check_fp what a b = check_string what (Fp.to_hex a) (Fp.to_hex b)
    Mid-run capture needs the kernel-module API: processes restored in
    place are rebuilt from their [program_factory] by replaying the
    fed-input log, and [Instance.load] does not take a factory. Each rig
-   closes over one concrete kernel module and exposes the uniform face the
-   roundtrip procedure needs. *)
+   builds its board through the board's {!Boards.Board} module, so its
+   snapshot target is the one every harness gets, and exposes the uniform
+   face the roundtrip procedure needs over that board's kernel module. *)
 
 type rig = {
   rg_tgt : Snapshot.target;
@@ -41,98 +42,39 @@ type rig = {
 let model_metrics (inst : Instance.t) =
   Obs.Metrics.to_text (Obs.Metrics.model_only (inst.Instance.metrics ()))
 
-let rig_ticktock_arm () =
-  let r = Obs.Recorder.create () in
-  let m, k = Boards.make_ticktock_arm ~obs:r () in
-  let module K = Boards.Ticktock_arm in
-  let tgt =
-    Boards.target ~arch:"armv7m" ~board:"ticktock-arm" ~mem:m.Machine.arm_mem
-      ~devices:(Boards.arm_components m)
-      ~kernel:
-        (Boards.comp "kernel" ~capture:K.capture ~restore:K.restore ~fingerprint:K.fingerprint
-           k)
-      ~procs:(fun () -> List.length (K.processes k))
-  in
-  {
-    rg_tgt = tgt;
-    rg_load =
-      (fun name script ->
-        match
-          K.create_process k ~name ~payload:name
-            ~program:(Apps.App_dsl.to_program (script ()))
-            ~min_ram:2048 ~grant_reserve:1024 ~heap_headroom:2048
-            ~program_factory:(fun () -> Apps.App_dsl.to_program (script ()))
-            ()
-        with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "%s: load %s: %a" "ticktock-arm" name Kerror.pp e);
-    rg_run = (fun n -> K.run k ~max_ticks:n);
-    rg_console = (fun () -> K.console_output k);
-    rg_metrics = (fun () -> model_metrics (K.instance k));
-    rg_trace = (fun () -> Obs.Recorder.to_string r);
-  }
+module Rig (MM : Mm.S) (B : module type of Boards.Board (MM)) = struct
+  let make ~board machine () =
+    let r = Obs.Recorder.create () in
+    let md = machine () in
+    let k = B.build md ~obs:r () in
+    let inst = B.erase ~board md k in
+    {
+      rg_tgt = Option.get inst.Instance.snap_target;
+      rg_load =
+        (fun name script ->
+          match
+            B.K.create_process k ~name ~payload:name
+              ~program:(Apps.App_dsl.to_program (script ()))
+              ~min_ram:2048 ~grant_reserve:1024 ~heap_headroom:2048
+              ~program_factory:(fun () -> Apps.App_dsl.to_program (script ()))
+              ()
+          with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s: load %s: %a" board name Kerror.pp e);
+      rg_run = (fun n -> B.K.run k ~max_ticks:n);
+      rg_console = (fun () -> B.K.console_output k);
+      rg_metrics = (fun () -> model_metrics inst);
+      rg_trace = (fun () -> Obs.Recorder.to_string r);
+    }
+end
 
-let rig_ticktock_arm_v8 () =
-  let r = Obs.Recorder.create () in
-  let m, k = Boards.make_ticktock_arm_v8 ~obs:r () in
-  let module K = Boards.Ticktock_arm_v8 in
-  let tgt =
-    Boards.target ~arch:"armv8m" ~board:"ticktock-arm-v8" ~mem:m.Machine.v8_mem
-      ~devices:(Boards.v8_components m)
-      ~kernel:
-        (Boards.comp "kernel" ~capture:K.capture ~restore:K.restore ~fingerprint:K.fingerprint
-           k)
-      ~procs:(fun () -> List.length (K.processes k))
-  in
-  {
-    rg_tgt = tgt;
-    rg_load =
-      (fun name script ->
-        match
-          K.create_process k ~name ~payload:name
-            ~program:(Apps.App_dsl.to_program (script ()))
-            ~min_ram:2048 ~grant_reserve:1024 ~heap_headroom:2048
-            ~program_factory:(fun () -> Apps.App_dsl.to_program (script ()))
-            ()
-        with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "%s: load %s: %a" "ticktock-arm-v8" name Kerror.pp e);
-    rg_run = (fun n -> K.run k ~max_ticks:n);
-    rg_console = (fun () -> K.console_output k);
-    rg_metrics = (fun () -> model_metrics (K.instance k));
-    rg_trace = (fun () -> Obs.Recorder.to_string r);
-  }
+module Rig_arm = Rig (Boards.Ticktock_arm_mm) (Boards.Ticktock_arm_b)
+module Rig_arm_v8 = Rig (Boards.Ticktock_arm_v8_mm) (Boards.Ticktock_arm_v8_b)
+module Rig_e310 = Rig (Boards.Ticktock_e310_mm) (Boards.Ticktock_e310_b)
 
-let rig_ticktock_e310 () =
-  let r = Obs.Recorder.create () in
-  let m, k = Boards.make_ticktock_e310 ~obs:r () in
-  let module K = Boards.Ticktock_e310 in
-  let tgt =
-    Boards.target ~arch:"rv32-pmp" ~board:"ticktock-e310" ~mem:m.Machine.rv_mem
-      ~devices:(Boards.rv_components m)
-      ~kernel:
-        (Boards.comp "kernel" ~capture:K.capture ~restore:K.restore ~fingerprint:K.fingerprint
-           k)
-      ~procs:(fun () -> List.length (K.processes k))
-  in
-  {
-    rg_tgt = tgt;
-    rg_load =
-      (fun name script ->
-        match
-          K.create_process k ~name ~payload:name
-            ~program:(Apps.App_dsl.to_program (script ()))
-            ~min_ram:2048 ~grant_reserve:1024 ~heap_headroom:2048
-            ~program_factory:(fun () -> Apps.App_dsl.to_program (script ()))
-            ()
-        with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "%s: load %s: %a" "ticktock-e310" name Kerror.pp e);
-    rg_run = (fun n -> K.run k ~max_ticks:n);
-    rg_console = (fun () -> K.console_output k);
-    rg_metrics = (fun () -> model_metrics (K.instance k));
-    rg_trace = (fun () -> Obs.Recorder.to_string r);
-  }
+let rig_ticktock_arm = Rig_arm.make ~board:"ticktock-arm" Boards.arm_plain
+let rig_ticktock_arm_v8 = Rig_arm_v8.make ~board:"ticktock-arm-v8" Boards.arm_v8
+let rig_ticktock_e310 = Rig_e310.make ~board:"ticktock-e310" Boards.e310
 
 let witness_script () =
   let open Apps.App_dsl in
