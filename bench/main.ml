@@ -462,15 +462,151 @@ let bechamel_run () =
     (bechamel_tests ())
 
 (* ------------------------------------------------------------------ *)
+(* Host-speed experiments (bus through replay) and the parts they share. *)
+
+(* Each host-speed experiment prints a table and writes the same rows as
+   BENCH_<name>.json through the one JSON printer, "experiment" first. *)
+let write name fields =
+  let file = Printf.sprintf "BENCH_%s.json" name in
+  let json = Obs.Json.(to_string (Obj (("experiment", Str name) :: fields))) in
+  Out_channel.with_open_text file (fun oc -> output_string oc json);
+  Printf.printf "\nwrote %s\n" file
+
+(* [x] to [d] decimals and, for whole rates, to an int: a BENCH figure
+   keeps the precision its table prints. *)
+let fixed d x = Obs.Json.Float (float_of_string (Printf.sprintf "%.*f" d x))
+let whole x = Obs.Json.Int (Float.to_int (Float.round x))
+
+(* [f ()] and the wall-clock seconds it took. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let v = f () in
+  (v, Unix.gettimeofday () -. t0)
+
+let median a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* A size knob from the environment, at least [min]; unset or unparsable
+   reads [default]. *)
+let env_int name ~min ~default =
+  match Sys.getenv_opt name with
+  | Some s -> ( try max min (int_of_string s) with Failure _ -> default)
+  | None -> default
+
+let host_cores = Stdlib.Domain.recommended_domain_count ()
+
+(* One machine per architecture for the bus and icache experiments: a
+   single RWX 64 KiB region at [rig_base], the CPU unprivileged so the MPU
+   actually gates every access. [cached] is the MPU's own checker, decision
+   cache live; [uncached] consults the same MPU through an uncacheable
+   checker (the pre-cache behaviour: a full region/entry walk per byte,
+   four walks per word). *)
+type rig = {
+  rig_arch : string;
+  rig_mem : Memory.t;
+  rig_cpu : Fluxarm.Cpu.t option;  (* the Thumb engine's CPU, on ARM *)
+  cached : Memory.checker;
+  uncached : Memory.checker;
+}
+
+let rig_base = 0x2000_0000
+
+let rig = function
+  | `Armv7m ->
+    let m = Machine.create_arm () in
+    let mpu = m.Machine.arm_mpu and cpu = m.Machine.arm_cpu in
+    Mpu_hw.Armv7m_mpu.write_region mpu ~index:0
+      ~rbar:(Mpu_hw.Armv7m_mpu.encode_rbar ~addr:rig_base ~region:0)
+      ~rasr:
+        (Mpu_hw.Armv7m_mpu.encode_rasr ~enable:true ~size:65536 ~srd:0
+           ~perms:Perms.Read_write_execute);
+    Mpu_hw.Armv7m_mpu.set_enabled mpu true;
+    Fluxarm.Cpu.set_special_raw cpu Fluxarm.Regs.Control 1;
+    { rig_arch = "armv7m"; rig_mem = m.Machine.arm_mem; rig_cpu = Some cpu;
+      cached =
+        Mpu_hw.Armv7m_mpu.checker mpu ~cpu_privileged:(fun () -> Fluxarm.Cpu.privileged cpu);
+      uncached =
+        Memory.checker_of_fn (fun a acc ->
+            Mpu_hw.Armv7m_mpu.check_access mpu ~privileged:false a acc) }
+  | `Armv8m ->
+    let m = Machine.create_arm_v8 () in
+    let mpu = m.Machine.v8_mpu and cpu = m.Machine.v8_cpu in
+    Mpu_hw.Armv8m_mpu.write_region mpu ~index:0
+      ~rbar:(Mpu_hw.Armv8m_mpu.encode_rbar ~base:rig_base ~perms:Perms.Read_write_execute)
+      ~rasr:(Mpu_hw.Armv8m_mpu.encode_rlar ~limit:(rig_base + 65535) ~enable:true);
+    Mpu_hw.Armv8m_mpu.set_enabled mpu true;
+    Fluxarm.Cpu.set_special_raw cpu Fluxarm.Regs.Control 1;
+    { rig_arch = "armv8m"; rig_mem = m.Machine.v8_mem; rig_cpu = Some cpu;
+      cached =
+        Mpu_hw.Armv8m_mpu.checker mpu ~cpu_privileged:(fun () -> Fluxarm.Cpu.privileged cpu);
+      uncached =
+        Memory.checker_of_fn (fun a acc ->
+            Mpu_hw.Armv8m_mpu.check_access mpu ~privileged:false a acc) }
+  | `Pmp ->
+    let m = Machine.create_riscv Mpu_hw.Pmp.sifive_e310 in
+    let pmp = m.Machine.rv_pmp in
+    Mpu_hw.Pmp.set_entry pmp ~index:0
+      ~cfg:(Mpu_hw.Pmp.cfg_of_perms Perms.Read_write_execute ~mode:Mpu_hw.Pmp.Napot)
+      ~addr:(Mpu_hw.Pmp.napot_addr ~start:rig_base ~size:65536);
+    m.Machine.rv_machine_mode := false;
+    { rig_arch = "rv32-pmp"; rig_mem = m.Machine.rv_mem; rig_cpu = None;
+      cached = Mpu_hw.Pmp.checker pmp ~cpu_machine_mode:(fun () -> !(m.Machine.rv_machine_mode));
+      uncached =
+        Memory.checker_of_fn (fun a acc -> Mpu_hw.Pmp.check_access pmp ~machine_mode:false a acc) }
+
+(* The jobs-scaling sweep of the fleet and fabric campaigns. The first
+   round runs jobs 1, 2 and, on a host with more, every core, and [row]
+   prints and returns each of its runs; then [scaling_rounds - 1] more
+   rounds run jobs 1 and 2, alternating which goes first. [report] must
+   agree across every run of every round. [speedup_1_to_2] reads the
+   first round; [paired_speedup_1_to_2] is the median over rounds of each
+   round's t1/t2, so host drift that spans a round cancels and one loaded
+   run cannot move it. Both are null below 2 cores: two domains
+   time-slicing one core measure the scheduler, not the pool. Returns the
+   BENCH fields and the first round's results. *)
+let scaling_rounds = 5
+
+let scaling ~run ~report ~row =
+  let time jobs =
+    let r, secs = timed (fun () -> run jobs) in
+    (jobs, r, secs)
+  in
+  let first = List.map time ([ 1; 2 ] @ if host_cores > 2 then [ host_cores ] else []) in
+  let rows = List.map (fun (jobs, r, secs) -> row jobs r secs) first in
+  (* keep each run's report and time, not its campaign result *)
+  let brief (jobs, r, secs) = (jobs, report r, secs) in
+  let rounds =
+    List.map brief first
+    :: List.init (scaling_rounds - 1) (fun i ->
+           List.map (fun jobs -> brief (time jobs)) (if i mod 2 = 0 then [ 2; 1 ] else [ 1; 2 ]))
+  in
+  let t_of jobs round = List.find_map (fun (j, _, s) -> if j = jobs then Some s else None) round in
+  let ratio round = Option.get (t_of 1 round) /. Option.get (t_of 2 round) in
+  let paired = median (Array.of_list (List.map ratio rounds)) in
+  let reports = List.concat_map (List.map (fun (_, rep, _) -> rep)) rounds in
+  let identical = List.for_all (( = ) (List.hd reports)) reports in
+  let speedup x = if host_cores < 2 then Obs.Json.Null else fixed 2 x in
+  if host_cores < 2 then print_endline "\nspeedup jobs 1 -> 2: not measured (host has 1 core)"
+  else
+    Printf.printf "\nspeedup jobs 1 -> 2: %.2fx, paired over %d rounds %.2fx  (host has %d cores)\n"
+      (ratio first) scaling_rounds paired host_cores;
+  Printf.printf "reports byte-identical across jobs and rounds: %b\n" identical;
+  ( Obs.Json.
+      [ ("host_cores", Int host_cores); ("scaling", Arr rows);
+        ("speedup_1_to_2", speedup (ratio first)); ("paired_speedup_1_to_2", speedup paired);
+        ("reports_identical", Bool identical) ],
+    List.map (fun (_, r, _) -> r) first )
+
+(* ------------------------------------------------------------------ *)
 (* Bus throughput: the word fast path + MPU decision cache (micro-TLB). *)
 
 (* Host-side loads/stores/fetches per second on the modeled bus, per
    architecture, under three configurations:
      unchecked — no checker installed (raw word fast path);
      cached    — the MPU installed normally, decision cache live;
-     uncached  — the same MPU consulted through an uncacheable checker
-                 (the pre-cache behaviour: a full region/entry walk per
-                 byte, four walks per word).
+     uncached  — the same MPU consulted through an uncacheable checker.
    Model cycles are untouched by any of this — Mach.Cycles is charged by
    the CPU methods, not the bus — so fig11/difftest numbers are identical
    whichever path runs; this experiment only reports host speed.
@@ -481,159 +617,60 @@ let bechamel_run () =
    the round's uncached time over its cached time, so host drift that
    spans a round cancels and one loaded sweep cannot move it. *)
 
-let bus_iters () =
-  match Sys.getenv_opt "BUS_ITERS" with
-  | Some s -> (try max 1000 (int_of_string s) with Failure _ -> 1_000_000)
-  | None -> 1_000_000
-
-type bus_row = {
-  bus_arch : string;
-  unchecked_mops : float;
-  cached_mops : float;
-  uncached_mops : float;
-  paired_speedup : float;
-  hit_rate : float;
-}
-
 let bus_rounds = 9
 
-let bus_sweep mem ~base ~iters =
+let bus_sweep mem ~iters =
   (* 64 KiB sweep, 3 ops per step: load, store, fetch of an aligned word *)
   for i = 0 to iters - 1 do
-    let addr = base lor (i * 4 land 0xFFFC) in
+    let addr = rig_base lor (i * 4 land 0xFFFC) in
     ignore (Memory.load32 mem addr);
     Memory.store32 mem addr 0xDEAD_BEEF;
     ignore (Memory.fetch32 mem addr)
   done
 
-let bus_time f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
-
-let bus_row ~arch ~iters mem ~base ~cached_checker ~uncached_checker =
+let bus_row ~iters r =
+  let mem = r.rig_mem in
   let mops secs = 3.0 *. float_of_int iters /. secs /. 1e6 in
   Memory.set_checker mem None;
-  bus_sweep mem ~base ~iters:1000 (* touch the pages once *);
-  let t_unchecked = bus_time (fun () -> bus_sweep mem ~base ~iters) in
+  bus_sweep mem ~iters:1000 (* touch the pages once *);
+  let (), t_unchecked = timed (fun () -> bus_sweep mem ~iters) in
   (* [set_checker] flushes the decision cache: every cached sweep starts cold *)
   let sweep checker =
     Memory.set_checker mem (Some checker);
     Memory.reset_cache_stats mem;
-    let t = bus_time (fun () -> bus_sweep mem ~base ~iters) in
+    let (), t = timed (fun () -> bus_sweep mem ~iters) in
     let hits, misses = Memory.cache_stats mem in
     (t, float_of_int hits /. float_of_int (max 1 (hits + misses)))
   in
   let rounds =
     Array.init bus_rounds (fun _ ->
-        let t_uncached, _ = sweep uncached_checker in
-        let t_cached, hit_rate = sweep cached_checker in
+        let t_uncached, _ = sweep r.uncached in
+        let t_cached, hit_rate = sweep r.cached in
         (t_uncached, t_cached, hit_rate))
   in
-  let ratios = Array.map (fun (u, c, _) -> u /. c) rounds in
-  Array.sort compare ratios;
+  let paired = median (Array.map (fun (u, c, _) -> u /. c) rounds) in
   let t_uncached, t_cached, hit_rate = rounds.(0) in
-  {
-    bus_arch = arch;
-    unchecked_mops = mops t_unchecked;
-    cached_mops = mops t_cached;
-    uncached_mops = mops t_uncached;
-    paired_speedup = ratios.(bus_rounds / 2);
-    hit_rate;
-  }
-
-let bus_armv7m ~iters =
-  let m = Machine.create_arm () in
-  let mem = m.Machine.arm_mem and mpu = m.Machine.arm_mpu in
-  let base = 0x2000_0000 in
-  Mpu_hw.Armv7m_mpu.write_region mpu ~index:0
-    ~rbar:(Mpu_hw.Armv7m_mpu.encode_rbar ~addr:base ~region:0)
-    ~rasr:
-      (Mpu_hw.Armv7m_mpu.encode_rasr ~enable:true ~size:65536 ~srd:0
-         ~perms:Perms.Read_write_execute);
-  Mpu_hw.Armv7m_mpu.set_enabled mpu true;
-  (* drop to unprivileged thread mode so the MPU actually gates accesses *)
-  Fluxarm.Cpu.set_special_raw m.Machine.arm_cpu Fluxarm.Regs.Control 1;
-  let cached =
-    Mpu_hw.Armv7m_mpu.checker mpu ~cpu_privileged:(fun () ->
-        Fluxarm.Cpu.privileged m.Machine.arm_cpu)
-  in
-  let uncached =
-    Memory.checker_of_fn (fun a acc -> Mpu_hw.Armv7m_mpu.check_access mpu ~privileged:false a acc)
-  in
-  bus_row ~arch:"armv7m" ~iters mem ~base ~cached_checker:cached ~uncached_checker:uncached
-
-let bus_armv8m ~iters =
-  let m = Machine.create_arm_v8 () in
-  let mem = m.Machine.v8_mem and mpu = m.Machine.v8_mpu in
-  let base = 0x2000_0000 in
-  Mpu_hw.Armv8m_mpu.write_region mpu ~index:0
-    ~rbar:(Mpu_hw.Armv8m_mpu.encode_rbar ~base ~perms:Perms.Read_write_execute)
-    ~rasr:(Mpu_hw.Armv8m_mpu.encode_rlar ~limit:(base + 65535) ~enable:true);
-  Mpu_hw.Armv8m_mpu.set_enabled mpu true;
-  Fluxarm.Cpu.set_special_raw m.Machine.v8_cpu Fluxarm.Regs.Control 1;
-  let cached =
-    Mpu_hw.Armv8m_mpu.checker mpu ~cpu_privileged:(fun () ->
-        Fluxarm.Cpu.privileged m.Machine.v8_cpu)
-  in
-  let uncached =
-    Memory.checker_of_fn (fun a acc -> Mpu_hw.Armv8m_mpu.check_access mpu ~privileged:false a acc)
-  in
-  bus_row ~arch:"armv8m" ~iters mem ~base ~cached_checker:cached ~uncached_checker:uncached
-
-let bus_pmp ~iters =
-  let m = Machine.create_riscv Mpu_hw.Pmp.sifive_e310 in
-  let mem = m.Machine.rv_mem and pmp = m.Machine.rv_pmp in
-  let base = 0x2000_0000 in
-  Mpu_hw.Pmp.set_entry pmp ~index:0
-    ~cfg:(Mpu_hw.Pmp.cfg_of_perms Perms.Read_write_execute ~mode:Mpu_hw.Pmp.Napot)
-    ~addr:(Mpu_hw.Pmp.napot_addr ~start:base ~size:65536);
-  m.Machine.rv_machine_mode := false;
-  let cached =
-    Mpu_hw.Pmp.checker pmp ~cpu_machine_mode:(fun () -> !(m.Machine.rv_machine_mode))
-  in
-  let uncached =
-    Memory.checker_of_fn (fun a acc -> Mpu_hw.Pmp.check_access pmp ~machine_mode:false a acc)
-  in
-  bus_row ~arch:"rv32-pmp" ~iters mem ~base ~cached_checker:cached ~uncached_checker:uncached
-
-let bus_json rows ~iters =
-  let oc = open_out "BENCH_bus.json" in
-  Printf.fprintf oc "{\n  \"experiment\": \"bus\",\n  \"ops_per_config\": %d,\n  \"archs\": [\n"
-    (3 * iters);
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"arch\": \"%s\", \"unchecked_mops\": %.2f, \"cached_mops\": %.2f, \
-         \"uncached_mops\": %.2f, \"speedup\": %.2f, \"paired_speedup\": %.2f, \
-         \"hit_rate\": %.4f}%s\n"
-        r.bus_arch r.unchecked_mops r.cached_mops r.uncached_mops
-        (r.cached_mops /. r.uncached_mops)
-        r.paired_speedup r.hit_rate
-        (if i = 2 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  let unchecked = mops t_unchecked and cached = mops t_cached and uncached = mops t_uncached in
+  Printf.printf "%-10s %11.2f M/s %11.2f M/s %11.2f M/s %8.2fx %8.2fx %8.1f%%\n" r.rig_arch
+    unchecked cached uncached (cached /. uncached) paired (100.0 *. hit_rate);
+  Obs.Json.(
+    Obj
+      [ ("arch", Str r.rig_arch); ("unchecked_mops", fixed 2 unchecked);
+        ("cached_mops", fixed 2 cached); ("uncached_mops", fixed 2 uncached);
+        ("speedup", fixed 2 (cached /. uncached)); ("paired_speedup", fixed 2 paired);
+        ("hit_rate", fixed 4 hit_rate) ])
 
 let bus () =
   header "Bus throughput — word fast path + MPU access-decision cache"
     "not in the paper: host-side speed only; model cycles are identical by construction";
-  let iters = bus_iters () in
+  let iters = env_int "BUS_ITERS" ~min:1000 ~default:1_000_000 in
   Printf.printf
     "%d ops per sweep (BUS_ITERS=%d words x 3 ops), %d interleaved uncached/cached rounds\n\n"
     (3 * iters) iters bus_rounds;
-  let rows = [ bus_armv7m ~iters; bus_armv8m ~iters; bus_pmp ~iters ] in
   Printf.printf "%-10s %14s %14s %14s %9s %9s %9s\n" "arch" "unchecked" "cached(mTLB)" "uncached"
     "speedup" "paired" "hit rate";
-  List.iter
-    (fun r ->
-      Printf.printf "%-10s %11.2f M/s %11.2f M/s %11.2f M/s %8.2fx %8.2fx %8.1f%%\n" r.bus_arch
-        r.unchecked_mops r.cached_mops r.uncached_mops
-        (r.cached_mops /. r.uncached_mops)
-        r.paired_speedup (100.0 *. r.hit_rate))
-    rows;
-  bus_json rows ~iters;
-  print_endline "\nwrote BENCH_bus.json"
+  let archs = List.map (fun a -> bus_row ~iters (rig a)) [ `Armv7m; `Armv8m; `Pmp ] in
+  write "bus" Obs.Json.[ ("ops_per_config", Int (3 * iters)); ("archs", Arr archs) ]
 
 (* ------------------------------------------------------------------ *)
 (* Instruction throughput: decode cache + basic-block dispatch in Mc.   *)
@@ -646,20 +683,6 @@ let bus () =
    [bus], model cycles are charged by the Cpu methods either way, so
    fig11/difftest/latency numbers are identical whichever engine runs —
    this experiment reports host speed and cache effectiveness only. *)
-
-let icache_iters () =
-  match Sys.getenv_opt "ICACHE_ITERS" with
-  | Some s -> (try max 100 (int_of_string s) with Failure _ -> 100_000)
-  | None -> 100_000
-
-type ic_row = {
-  ic_arch : string;
-  cold_mips : float;
-  warm_mips : float;
-  ic_hit_rate : float;
-  ic_link_rate : float;
-  ic_trace_len : float;  (** mean blocks per trace *)
-}
 
 (* The loop body: 30 movw + cmp lr, r7 (lr=1, r7=0, so Z stays clear)
    + bne back to the start. *)
@@ -674,8 +697,8 @@ let icache_program base =
 
 let icache_instrs_per_iter = 32
 
-let icache_run cpu ~base ~iters =
-  Fluxarm.Cpu.set_special_raw cpu Fluxarm.Regs.Pc base;
+let icache_run cpu ~iters =
+  Fluxarm.Cpu.set_special_raw cpu Fluxarm.Regs.Pc rig_base;
   Fluxarm.Cpu.set_special_raw cpu Fluxarm.Regs.Lr 1;
   match Fluxarm.Mc.run ~fuel:(iters * icache_instrs_per_iter) cpu with
   | Fluxarm.Mc.Out_of_fuel -> ()
@@ -683,112 +706,59 @@ let icache_run cpu ~base ~iters =
 
 (* best of three: a single timing is at the mercy of host scheduling noise,
    and CI gates on the warm/cold ratio *)
-let best_of_3 f =
-  let t1 = bus_time f in
-  let t2 = bus_time f in
-  let t3 = bus_time f in
-  Float.min t1 (Float.min t2 t3)
+let best_of_3 f = List.fold_left (fun t _ -> Float.min t (snd (timed f))) infinity [ 1; 2; 3 ]
 
-let icache_row ~arch ~iters mem cpu ~base =
+(* [mpu] installs the rig's cached checker; without it the row runs with
+   no checker at all ("nompu"). *)
+let icache_row ~iters ~mpu a =
+  let r = rig a in
+  let arch = if mpu then r.rig_arch else "nompu" in
+  let cpu = Option.get r.rig_cpu in
+  Memory.set_checker r.rig_mem (if mpu then Some r.cached else None);
   let ic = Fluxarm.Cpu.icache cpu in
   let fuel = iters * icache_instrs_per_iter in
-  ignore (Fluxarm.Thumb.assemble mem base (icache_program base));
+  ignore (Fluxarm.Thumb.assemble r.rig_mem rig_base (icache_program rig_base));
   let mips secs = float_of_int fuel /. secs /. 1e6 in
   Fluxarm.Icache.set_enabled ic false;
-  icache_run cpu ~base ~iters:100 (* touch the pages *);
-  let t_cold = best_of_3 (fun () -> icache_run cpu ~base ~iters) in
+  icache_run cpu ~iters:100 (* touch the pages *);
+  let cold = mips (best_of_3 (fun () -> icache_run cpu ~iters)) in
   Fluxarm.Icache.set_enabled ic true;
-  icache_run cpu ~base ~iters:100 (* decode, publish and link the block *);
+  icache_run cpu ~iters:100 (* decode, publish and link the block *);
   let s0 = Fluxarm.Icache.stats ic in
-  let t_warm = best_of_3 (fun () -> icache_run cpu ~base ~iters) in
+  let warm = mips (best_of_3 (fun () -> icache_run cpu ~iters)) in
   let s1 = Fluxarm.Icache.stats ic in
   let d f = f s1 - f s0 in
   let ratio a b = float_of_int a /. float_of_int (max 1 b) in
   let hits = d (fun s -> s.Fluxarm.Icache.hits) in
   let link_hits = d (fun s -> s.Fluxarm.Icache.link_hits) in
-  {
-    ic_arch = arch;
-    cold_mips = mips t_cold;
-    warm_mips = mips t_warm;
-    ic_hit_rate = ratio hits (hits + d (fun s -> s.Fluxarm.Icache.misses));
-    ic_link_rate = ratio link_hits (link_hits + d (fun s -> s.Fluxarm.Icache.link_misses));
-    ic_trace_len =
-      ratio (d (fun s -> s.Fluxarm.Icache.trace_blocks)) (d (fun s -> s.Fluxarm.Icache.traces));
-  }
-
-let icache_nompu ~iters =
-  let m = Machine.create_arm () in
-  let mem = m.Machine.arm_mem in
-  Memory.set_checker mem None;
-  icache_row ~arch:"nompu" ~iters mem m.Machine.arm_cpu ~base:0x2000_0000
-
-let icache_armv7m ~iters =
-  let m = Machine.create_arm () in
-  let mem = m.Machine.arm_mem and mpu = m.Machine.arm_mpu in
-  let base = 0x2000_0000 in
-  Mpu_hw.Armv7m_mpu.write_region mpu ~index:0
-    ~rbar:(Mpu_hw.Armv7m_mpu.encode_rbar ~addr:base ~region:0)
-    ~rasr:
-      (Mpu_hw.Armv7m_mpu.encode_rasr ~enable:true ~size:65536 ~srd:0
-         ~perms:Perms.Read_write_execute);
-  Mpu_hw.Armv7m_mpu.set_enabled mpu true;
-  Fluxarm.Cpu.set_special_raw m.Machine.arm_cpu Fluxarm.Regs.Control 1;
-  Memory.set_checker mem
-    (Some
-       (Mpu_hw.Armv7m_mpu.checker mpu ~cpu_privileged:(fun () ->
-            Fluxarm.Cpu.privileged m.Machine.arm_cpu)));
-  icache_row ~arch:"armv7m" ~iters mem m.Machine.arm_cpu ~base
-
-let icache_armv8m ~iters =
-  let m = Machine.create_arm_v8 () in
-  let mem = m.Machine.v8_mem and mpu = m.Machine.v8_mpu in
-  let base = 0x2000_0000 in
-  Mpu_hw.Armv8m_mpu.write_region mpu ~index:0
-    ~rbar:(Mpu_hw.Armv8m_mpu.encode_rbar ~base ~perms:Perms.Read_write_execute)
-    ~rasr:(Mpu_hw.Armv8m_mpu.encode_rlar ~limit:(base + 65535) ~enable:true);
-  Mpu_hw.Armv8m_mpu.set_enabled mpu true;
-  Fluxarm.Cpu.set_special_raw m.Machine.v8_cpu Fluxarm.Regs.Control 1;
-  Memory.set_checker mem
-    (Some
-       (Mpu_hw.Armv8m_mpu.checker mpu ~cpu_privileged:(fun () ->
-            Fluxarm.Cpu.privileged m.Machine.v8_cpu)));
-  icache_row ~arch:"armv8m" ~iters mem m.Machine.v8_cpu ~base
-
-let icache_json rows ~iters =
-  let oc = open_out "BENCH_icache.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"icache\",\n  \"instrs_per_config\": %d,\n  \"archs\": [\n"
-    (iters * icache_instrs_per_iter);
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"arch\": \"%s\", \"cold_mips\": %.2f, \"warm_mips\": %.2f, \"speedup\": \
-         %.2f, \"hit_rate\": %.4f, \"link_rate\": %.4f, \"avg_trace_len\": %.1f}%s\n"
-        r.ic_arch r.cold_mips r.warm_mips (r.warm_mips /. r.cold_mips) r.ic_hit_rate
-        r.ic_link_rate r.ic_trace_len
-        (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  let hit_rate = ratio hits (hits + d (fun s -> s.Fluxarm.Icache.misses)) in
+  let link_rate = ratio link_hits (link_hits + d (fun s -> s.Fluxarm.Icache.link_misses)) in
+  let trace_len =
+    ratio (d (fun s -> s.Fluxarm.Icache.trace_blocks)) (d (fun s -> s.Fluxarm.Icache.traces))
+  in
+  Printf.printf "%-10s %11.2f M/s %11.2f M/s %8.2fx %8.1f%% %8.1f%% %9.1f\n" arch cold warm
+    (warm /. cold) (100.0 *. hit_rate) (100.0 *. link_rate) trace_len;
+  Obs.Json.(
+    Obj
+      [ ("arch", Str arch); ("cold_mips", fixed 2 cold); ("warm_mips", fixed 2 warm);
+        ("speedup", fixed 2 (warm /. cold)); ("hit_rate", fixed 4 hit_rate);
+        ("link_rate", fixed 4 link_rate); ("avg_trace_len", fixed 1 trace_len) ])
 
 let icache_bench () =
   header "Instruction throughput — decode cache + superblock dispatch"
     "not in the paper: host-side speed only; model cycles are identical by construction";
-  let iters = icache_iters () in
+  let iters = env_int "ICACHE_ITERS" ~min:100 ~default:100_000 in
   Printf.printf "%d instructions per configuration (ICACHE_ITERS=%d loops x %d instrs)\n\n"
     (iters * icache_instrs_per_iter) iters icache_instrs_per_iter;
-  let rows = [ icache_nompu ~iters; icache_armv7m ~iters; icache_armv8m ~iters ] in
   Printf.printf "%-10s %15s %15s %9s %9s %9s %9s\n" "arch" "cold" "warm" "speedup" "hit rate"
     "link rt" "tracelen";
-  List.iter
-    (fun r ->
-      Printf.printf "%-10s %11.2f M/s %11.2f M/s %8.2fx %8.1f%% %8.1f%% %9.1f\n" r.ic_arch
-        r.cold_mips r.warm_mips (r.warm_mips /. r.cold_mips) (100.0 *. r.ic_hit_rate)
-        (100.0 *. r.ic_link_rate) r.ic_trace_len)
-    rows;
-  icache_json rows ~iters;
-  print_endline "\nwrote BENCH_icache.json"
+  let archs =
+    List.map
+      (fun (a, mpu) -> icache_row ~iters ~mpu a)
+      [ (`Armv7m, false); (`Armv7m, true); (`Armv8m, true) ]
+  in
+  write "icache"
+    Obs.Json.[ ("instrs_per_config", Int (iters * icache_instrs_per_iter)); ("archs", Arr archs) ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: the cost of the tracing hooks themselves.    *)
@@ -802,11 +772,6 @@ let icache_bench () =
    fig11/difftest/latency/fuzz output is byte-identical across the three
    modes (ci.sh asserts this); the only thing tracing can cost is host
    time, which is what this experiment bounds. *)
-
-let obs_iters () =
-  match Sys.getenv_opt "OBS_ITERS" with
-  | Some s -> (try max 2 (int_of_string s) with Failure _ -> 12)
-  | None -> 12
 
 (* The machine-code board: the engine that actually fetches, decodes and
    executes instructions, i.e. the configuration where a wall-clock
@@ -844,7 +809,7 @@ let obs_times ~iters ~samples =
           (* settle the GC so no mode pays major-collection debt run up by
              its predecessor's garbage *)
           Gc.full_major ();
-          bus_time (fun () -> obs_run_all ks))
+          snd (timed (fun () -> obs_run_all ks)))
         modes)
 
 (* Two estimators of a mode's overhead over absent. The minimum over
@@ -855,37 +820,13 @@ let obs_times ~iters ~samples =
 let obs_min times mode = Array.fold_left (fun b row -> Float.min b row.(mode)) infinity times
 
 let obs_paired_pct times mode =
-  let r = Array.map (fun row -> row.(mode) /. row.(0)) times in
-  Array.sort compare r;
-  100.0 *. (r.(Array.length r / 2) -. 1.0)
-
-let obs_json ~iters ~t_absent ~t_disabled ~t_enabled ~paired_disabled ~paired_enabled ~recorded
-    ~dropped =
-  let pct t = 100.0 *. (t -. t_absent) /. t_absent in
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"obs\",\n\
-    \  \"suite_runs_per_sample\": %d,\n\
-    \  \"absent_s\": %.4f,\n\
-    \  \"disabled_s\": %.4f,\n\
-    \  \"enabled_s\": %.4f,\n\
-    \  \"disabled_overhead_pct\": %.2f,\n\
-    \  \"enabled_overhead_pct\": %.2f,\n\
-    \  \"disabled_paired_overhead_pct\": %.2f,\n\
-    \  \"enabled_paired_overhead_pct\": %.2f,\n\
-    \  \"events_per_suite_run\": %d,\n\
-    \  \"events_dropped_per_suite_run\": %d\n\
-     }\n"
-    iters t_absent t_disabled t_enabled (pct t_disabled) (pct t_enabled) paired_disabled
-    paired_enabled recorded dropped;
-  close_out oc
+  100.0 *. (median (Array.map (fun row -> row.(mode) /. row.(0)) times) -. 1.0)
 
 let obs_bench () =
   header "Observability overhead — tracing hooks absent / disabled / enabled"
     "not in the paper: host-side cost of the obs layer; model output identical by construction";
   let saved = Obs.Config.auto_mode () in
-  let iters = obs_iters () in
+  let iters = env_int "OBS_ITERS" ~min:2 ~default:12 in
   let samples = 9 in
   Printf.printf
     "%d suite runs per sample, %d interleaved samples per mode: best, and median paired with \
@@ -910,9 +851,15 @@ let obs_bench () =
     paired_enabled;
   Printf.printf "\ntraced suite run: %d events recorded, %d dropped (ring capacity %d)\n" recorded
     dropped r.Obs.Recorder.capacity;
-  obs_json ~iters ~t_absent ~t_disabled ~t_enabled ~paired_disabled ~paired_enabled ~recorded
-    ~dropped;
-  print_endline "wrote BENCH_obs.json"
+  write "obs"
+    Obs.Json.
+      [ ("suite_runs_per_sample", Int iters); ("absent_s", fixed 4 t_absent);
+        ("disabled_s", fixed 4 t_disabled); ("enabled_s", fixed 4 t_enabled);
+        ("disabled_overhead_pct", fixed 2 (pct t_disabled));
+        ("enabled_overhead_pct", fixed 2 (pct t_enabled));
+        ("disabled_paired_overhead_pct", fixed 2 paired_disabled);
+        ("enabled_paired_overhead_pct", fixed 2 paired_enabled);
+        ("events_per_suite_run", Int recorded); ("events_dropped_per_suite_run", Int dropped) ]
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: scrubber detection latency and scrub-cadence overhead.        *)
@@ -940,56 +887,6 @@ let chaos_scrub_run ~scrub_every =
   let checks = Chaos.Campaign.counter_of (inst.Instance.metrics ()) "scrub/checks" in
   (cycles, checks)
 
-let chaos_json ~cadences ~latencies ~(res : Chaos.Campaign.result) =
-  let oc = open_out "BENCH_chaos.json" in
-  let buckets_json buckets =
-    String.concat ", "
-      (List.map (fun (le, n) -> Printf.sprintf "[%d, %d]" le n) buckets)
-  in
-  let lat_json =
-    String.concat ",\n"
-      (List.map
-         (fun (board, lat, buckets) ->
-           match lat with
-           | Some (n, mn, mean, mx) ->
-             Printf.sprintf
-               "    { \"board\": \"%s\", \"count\": %d, \"min\": %d, \"mean\": %d, \
-                \"max\": %d, \"buckets\": [%s] }"
-               board n mn mean mx (buckets_json buckets)
-           | None -> Printf.sprintf "    { \"board\": \"%s\", \"count\": 0 }" board)
-         latencies)
-  in
-  let base_cycles =
-    match cadences with (0, (c, _)) :: _ -> c | _ -> 0
-  in
-  let cad_json =
-    String.concat ",\n"
-      (List.map
-         (fun (every, (cycles, checks)) ->
-           Printf.sprintf
-             "    { \"scrub_every\": %d, \"model_cycles\": %d, \"checks\": %d, \
-              \"overhead_pct\": %.3f }"
-             every cycles checks
-             (if base_cycles = 0 then 0.0
-              else 100.0 *. float_of_int (cycles - base_cycles) /. float_of_int base_cycles))
-         cadences)
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"chaos\",\n\
-    \  \"campaign\": { \"rounds\": %d, \"fired\": %d, \"effective\": %d,\n\
-    \                 \"masked\": %d, \"healed\": %d, \"contained\": %d,\n\
-    \                 \"silent\": %d, \"ok\": %b },\n\
-    \  \"detect_latency_cycles\": [\n%s\n  ],\n\
-    \  \"scrub_overhead\": [\n%s\n  ]\n\
-     }\n"
-    (List.length res.Chaos.Campaign.rounds)
-    res.Chaos.Campaign.total_fired res.Chaos.Campaign.total_effective
-    res.Chaos.Campaign.total_masked res.Chaos.Campaign.total_healed
-    res.Chaos.Campaign.total_contained res.Chaos.Campaign.total_silent
-    res.Chaos.Campaign.ok lat_json cad_json;
-  close_out oc
-
 let chaos_bench () =
   header "Chaos: MPU-scrubber detection latency and cadence overhead"
     "not in the paper: the robustness harness's self-healing numbers";
@@ -1003,49 +900,61 @@ let chaos_bench () =
     res.Chaos.Campaign.total_fired res.Chaos.Campaign.total_masked
     res.Chaos.Campaign.total_healed res.Chaos.Campaign.total_contained
     (if res.Chaos.Campaign.ok then "ok" else "FAILED");
-  (* Merge per-board latency across seeds by reporting each round; rounds
-     of the same board are adjacent and seeds are listed in order. *)
+  (* Per-board latency, one row per round; rounds of the same board are
+     adjacent and seeds are listed in order. *)
+  Printf.printf "%-24s %6s %8s %8s %8s\n" "board/seed" "n" "min" "mean" "max";
   let latencies =
     List.map
       (fun (r : Chaos.Campaign.round) ->
-        ( Printf.sprintf "%s/seed%d" r.Chaos.Campaign.rd_board r.Chaos.Campaign.rd_seed,
-          r.Chaos.Campaign.rd_latency,
-          r.Chaos.Campaign.rd_latency_buckets ))
+        let board = Printf.sprintf "%s/seed%d" r.Chaos.Campaign.rd_board r.Chaos.Campaign.rd_seed in
+        match r.Chaos.Campaign.rd_latency with
+        | Some (n, mn, mean, mx) ->
+          Printf.printf "%-24s %6d %8d %8d %8d\n" board n mn mean mx;
+          let bucket (le, n) = Obs.Json.(Arr [ Int le; Int n ]) in
+          Obs.Json.(
+            Obj
+              [ ("board", Str board); ("count", Int n); ("min", Int mn); ("mean", Int mean);
+                ("max", Int mx);
+                ("buckets", Arr (List.map bucket r.Chaos.Campaign.rd_latency_buckets)) ])
+        | None ->
+          Printf.printf "%-24s %6d %8s %8s %8s\n" board 0 "-" "-" "-";
+          Obs.Json.(Obj [ ("board", Str board); ("count", Int 0) ]))
       res.Chaos.Campaign.rounds
   in
-  Printf.printf "%-24s %6s %8s %8s %8s\n" "board/seed" "n" "min" "mean" "max";
-  List.iter
-    (fun (name, lat, _) ->
-      match lat with
-      | Some (n, mn, mean, mx) ->
-        Printf.printf "%-24s %6d %8d %8d %8d\n" name n mn mean mx
-      | None -> Printf.printf "%-24s %6d %8s %8s %8s\n" name 0 "-" "-" "-")
-    latencies;
   (* Scrubber overhead: the suite alone (no engine, no faults) with the
      scrubber off and at three cadences. *)
-  let cadences =
-    List.map (fun every -> (every, chaos_scrub_run ~scrub_every:every)) [ 0; 1; 4; 16 ]
-  in
-  let base = fst (List.assoc 0 cadences) in
+  let runs = List.map (fun every -> (every, chaos_scrub_run ~scrub_every:every)) [ 0; 1; 4; 16 ] in
+  let base = fst (List.assoc 0 runs) in
   Printf.printf "\n%-12s %14s %10s %10s\n" "scrub_every" "model cycles" "checks" "overhead";
-  List.iter
-    (fun (every, (cycles, checks)) ->
-      Printf.printf "%-12s %14d %10d %+9.3f%%\n"
-        (if every = 0 then "off" else string_of_int every)
-        cycles checks
-        (100.0 *. float_of_int (cycles - base) /. float_of_int base))
-    cadences;
-  chaos_json ~cadences ~latencies ~res;
-  print_endline "\nwrote BENCH_chaos.json"
+  let scrub =
+    List.map
+      (fun (every, (cycles, checks)) ->
+        let pct = 100.0 *. float_of_int (cycles - base) /. float_of_int base in
+        Printf.printf "%-12s %14d %10d %+9.3f%%\n"
+          (if every = 0 then "off" else string_of_int every)
+          cycles checks pct;
+        Obs.Json.(
+          Obj
+            [ ("scrub_every", Int every); ("model_cycles", Int cycles); ("checks", Int checks);
+              ("overhead_pct", fixed 3 pct) ]))
+      runs
+  in
+  let campaign =
+    let open Chaos.Campaign in
+    Obs.Json.
+      [ ("rounds", Int (List.length res.rounds)); ("fired", Int res.total_fired);
+        ("effective", Int res.total_effective); ("masked", Int res.total_masked);
+        ("healed", Int res.total_healed); ("contained", Int res.total_contained);
+        ("silent", Int res.total_silent); ("ok", Bool res.ok) ]
+  in
+  write "chaos"
+    Obs.Json.
+      [ ("campaign", Obj campaign); ("detect_latency_cycles", Arr latencies);
+        ("scrub_overhead", Arr scrub) ]
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot/fork: restore vs cold boot, fork cost vs dirty pages, and   *)
 (* campaign wall-clock in boot vs fork mode.                            *)
-
-let snap_target_of (k : Instance.t) =
-  match k.Instance.snap_target with
-  | Some tgt -> tgt
-  | None -> failwith "board has no snapshot target"
 
 (* (a) Per-round cost of a fresh board: boot-mode pays a full board
    construction; fork-mode pays one restore of the pristine post-boot
@@ -1053,24 +962,21 @@ let snap_target_of (k : Instance.t) =
    restores is the realistic dirtying load (it is NOT inside the timed
    window). *)
 let snap_restore_vs_boot ~rounds =
-  let t_boot =
-    bus_time (fun () ->
+  let (), t_boot =
+    timed (fun () ->
         for _ = 1 to rounds do
           ignore (Boards.instance_ticktock_arm ())
         done)
-    /. float_of_int rounds
   in
   let k = Boards.instance_ticktock_arm () in
-  let tgt = snap_target_of k in
-  let t_capture = bus_time (fun () -> ignore (Snapshot.capture tgt)) in
-  let snap = Snapshot.capture tgt in
+  let tgt = Option.get k.Instance.snap_target in
+  let snap, t_capture = timed (fun () -> Snapshot.capture tgt) in
   let t_restore = ref 0.0 in
   for _ = 1 to rounds do
     ignore (Apps.Difftest.run_suite ~max_ticks:2_000 k);
-    t_restore := !t_restore +. bus_time (fun () -> Snapshot.restore tgt snap)
+    t_restore := !t_restore +. snd (timed (fun () -> Snapshot.restore tgt snap))
   done;
-  let t_restore = !t_restore /. float_of_int rounds in
-  (t_boot, t_capture, t_restore)
+  (t_boot /. float_of_int rounds, t_capture, !t_restore /. float_of_int rounds)
 
 (* (b) Restore cost as a function of pages dirtied since capture. Pure
    memory-level sweep on a bare machine: the COW restore walks only pages
@@ -1087,51 +993,20 @@ let snap_dirty_sweep () =
       for i = 0 to pages - 1 do
         Memory.store32 mem (base + (i * page)) 0xDEAD_BEEF
       done;
-      let secs = bus_time (fun () -> Memory.restore mem snap) in
-      (pages, secs))
+      (pages, snd (timed (fun () -> Memory.restore mem snap))))
     [ 0; 1; 4; 16; 48 ]
 
 (* (c) The same fuzz campaign, boot mode vs fork mode, and the identity
    check that makes fork mode admissible: identical outcome lists. *)
 let snap_campaign ~seeds =
   let make () = Boards.instance_ticktock_arm () in
-  let run exec = Apps.Fuzz.campaign ~exec ~seeds ~fuzzers:2 ~steps:50 make in
-  let boot = ref ([], []) and forked = ref ([], []) in
-  let t_boot =
+  let run exec =
     Verify.Violation.with_enabled true (fun () ->
-        bus_time (fun () -> boot := run Ticktock.Replayable.Exec.Boot))
+        timed (fun () -> Apps.Fuzz.campaign ~exec ~seeds ~fuzzers:2 ~steps:50 make))
   in
-  let t_fork =
-    Verify.Violation.with_enabled true (fun () ->
-        bus_time (fun () -> forked := run Ticktock.Replayable.Exec.Fork))
-  in
-  let identical = !boot = !forked in
-  (t_boot, t_fork, List.length (fst !boot), identical)
-
-let snapshot_json ~rounds ~t_boot ~t_capture ~t_restore ~sweep ~seeds ~t_cboot ~t_cfork
-    ~identical =
-  let oc = open_out "BENCH_snapshot.json" in
-  let sweep_json =
-    String.concat ",\n"
-      (List.map
-         (fun (pages, secs) ->
-           Printf.sprintf "    { \"dirty_pages\": %d, \"restore_us\": %.2f }" pages
-             (secs *. 1e6))
-         sweep)
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"snapshot\",\n\
-    \  \"fresh_board\": { \"rounds\": %d, \"cold_boot_us\": %.2f, \"capture_us\": %.2f,\n\
-    \                   \"restore_us\": %.2f, \"restore_speedup\": %.2f },\n\
-    \  \"restore_vs_dirty_pages\": [\n%s\n  ],\n\
-    \  \"fuzz_campaign\": { \"seeds\": %d, \"boot_mode_s\": %.3f, \"fork_mode_s\": %.3f,\n\
-    \                     \"speedup\": %.2f, \"outcomes_identical\": %b }\n\
-     }\n"
-    rounds (t_boot *. 1e6) (t_capture *. 1e6) (t_restore *. 1e6)
-    (t_boot /. t_restore)
-    sweep_json seeds t_cboot t_cfork (t_cboot /. t_cfork) identical;
-  close_out oc
+  let boot, t_boot = run Ticktock.Replayable.Exec.Boot in
+  let forked, t_fork = run Ticktock.Replayable.Exec.Fork in
+  (t_boot, t_fork, List.length (fst boot), boot = forked)
 
 let snapshot_bench () =
   header "Snapshot/fork — restore vs cold boot, dirty-page scaling, campaign wall-clock"
@@ -1144,130 +1019,79 @@ let snapshot_bench () =
   Printf.printf "  %-28s %10.1f us   (%.1fx faster than boot)\n" "restore (dirty board)"
     (t_restore *. 1e6)
     (t_boot /. t_restore);
-  let sweep = snap_dirty_sweep () in
   Printf.printf "\nrestore cost vs pages dirtied since capture (bare machine):\n";
-  List.iter
-    (fun (pages, secs) -> Printf.printf "  %4d dirty pages %10.1f us\n" pages (secs *. 1e6))
-    sweep;
+  let sweep =
+    List.map
+      (fun (pages, secs) ->
+        Printf.printf "  %4d dirty pages %10.1f us\n" pages (secs *. 1e6);
+        Obs.Json.(Obj [ ("dirty_pages", Int pages); ("restore_us", fixed 2 (secs *. 1e6)) ]))
+      (snap_dirty_sweep ())
+  in
   let seeds = 8 in
   let t_cboot, t_cfork, ran, identical = snap_campaign ~seeds in
   Printf.printf "\nfuzz campaign, %d seeds x 2 fuzzers (%d rounds ran):\n" seeds ran;
   Printf.printf "  %-28s %10.3f s\n" "boot mode" t_cboot;
   Printf.printf "  %-28s %10.3f s   (%.2fx)\n" "fork mode" t_cfork (t_cboot /. t_cfork);
   Printf.printf "  outcomes identical: %b\n" identical;
-  snapshot_json ~rounds ~t_boot ~t_capture ~t_restore ~sweep ~seeds ~t_cboot ~t_cfork
-    ~identical;
-  print_endline "\nwrote BENCH_snapshot.json"
+  write "snapshot"
+    Obs.Json.
+      [
+        ( "fresh_board",
+          Obj
+            [ ("rounds", Int rounds); ("cold_boot_us", fixed 2 (t_boot *. 1e6));
+              ("capture_us", fixed 2 (t_capture *. 1e6));
+              ("restore_us", fixed 2 (t_restore *. 1e6));
+              ("restore_speedup", fixed 2 (t_boot /. t_restore)) ] );
+        ("restore_vs_dirty_pages", Arr sweep);
+        ( "fuzz_campaign",
+          Obj
+            [ ("seeds", Int seeds); ("boot_mode_s", fixed 3 t_cboot);
+              ("fork_mode_s", fixed 3 t_cfork); ("speedup", fixed 2 (t_cboot /. t_cfork));
+              ("outcomes_identical", Bool identical) ] );
+      ]
 
 (* ------------------------------------------------------------------ *)
-(* Fleet-scale campaign: fork >=10k board-instances across the domain
+(* Fleet-scale campaign: fork 10k board-instances across the domain
    pool, measure throughput at each jobs setting, and check the merged
    report is byte-identical everywhere — the property that makes the
-   parallelism admissible. FLEET_CELLS overrides the campaign size. *)
+   parallelism admissible. *)
 
-let fleet_row ~spec jobs =
-  let r = ref None in
-  let secs =
-    bus_time (fun () ->
-        Verify.Violation.with_enabled true (fun () ->
-            r := Some (Fleet.Campaign.run ~jobs spec)))
-  in
-  let r = Option.get !r in
-  let faults =
-    Array.fold_left
-      (fun a -> function Some c -> a + c.Fleet.Campaign.cl_faulted | None -> a)
-      0 r.Fleet.Campaign.fl_cells
-  in
-  let per n = float_of_int n /. secs in
-  ( jobs,
-    secs,
-    per r.Fleet.Campaign.fl_forked (* boards/sec *),
-    per r.Fleet.Campaign.fl_ran (* cells/sec *),
-    per faults,
-    r.Fleet.Campaign.fl_steals,
-    r.Fleet.Campaign.fl_report )
-
-(* The jobs=2 run always happens (its report feeds [reports_identical]),
-   but a speedup is a measurement only on a host with the cores to run two
-   domains at once: elsewhere it is recorded as null. *)
-let speedup_json ~host_cores ~t1 ~t2 =
-  if host_cores < 2 then "null" else Printf.sprintf "%.2f" (t1 /. t2)
-
-let print_speedup ~host_cores ~t1 ~t2 =
-  if host_cores < 2 then
-    Printf.printf "\nspeedup jobs 1 -> 2: not measured (host has 1 core)\n"
-  else Printf.printf "\nspeedup jobs 1 -> 2: %.2fx  (host has %d cores)\n" (t1 /. t2) host_cores
-
-let fleet_json ~spec ~host_cores ~rows ~identical =
-  let oc = open_out "BENCH_fleet.json" in
-  let row_json =
-    String.concat ",\n"
-      (List.map
-         (fun (jobs, secs, bps, cps, fps, steals, _) ->
-           Printf.sprintf
-             "    { \"jobs\": %d, \"seconds\": %.3f, \"boards_per_sec\": %.0f, \
-              \"cells_per_sec\": %.0f, \"faults_per_sec\": %.0f, \"steals\": %d }"
-             jobs secs bps cps fps steals)
-         rows)
-  in
-  let t_of j =
-    let _, secs, _, _, _, _, _ = List.find (fun (j', _, _, _, _, _, _) -> j' = j) rows in
-    secs
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"fleet\",\n\
-    \  \"cells\": %d,\n\
-    \  \"boards\": %d,\n\
-    \  \"plans\": %d,\n\
-    \  \"host_cores\": %d,\n\
-    \  \"scaling\": [\n%s\n  ],\n\
-    \  \"speedup_1_to_2\": %s,\n\
-    \  \"reports_identical\": %b\n\
-     }\n"
-    spec.Fleet.Campaign.sp_cells
-    (List.length spec.Fleet.Campaign.sp_boards)
-    (List.length spec.Fleet.Campaign.sp_plans)
-    host_cores row_json
-    (speedup_json ~host_cores ~t1:(t_of 1) ~t2:(t_of 2))
-    identical;
-  close_out oc
+let fleet_cells = 10_000
 
 let fleet_bench () =
   header "Fleet campaign — 10k snapshot-forked boards across the work-stealing pool"
     "not in the paper: throughput and jobs-scaling of the campaign orchestrator";
-  let cells =
-    match Sys.getenv_opt "FLEET_CELLS" with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 10_000)
-    | None -> 10_000
-  in
-  let spec = { Fleet.Campaign.default_spec with Fleet.Campaign.sp_cells = cells } in
-  let host_cores = Stdlib.Domain.recommended_domain_count () in
-  let jobs_list =
-    [ 1; 2 ] @ (if host_cores > 2 then [ host_cores ] else [])
-  in
-  Printf.printf "campaign: %d cells over %d boards x %d plans (host: %d cores)\n\n" cells
-    (List.length spec.Fleet.Campaign.sp_boards)
-    (List.length spec.Fleet.Campaign.sp_plans)
-    host_cores;
+  let spec = { Fleet.Campaign.default_spec with Fleet.Campaign.sp_cells = fleet_cells } in
+  let boards = List.length spec.Fleet.Campaign.sp_boards in
+  let plans = List.length spec.Fleet.Campaign.sp_plans in
+  Printf.printf "campaign: %d cells over %d boards x %d plans (host: %d cores)\n\n" fleet_cells
+    boards plans host_cores;
   Printf.printf "%6s %9s %12s %12s %12s %8s\n" "jobs" "seconds" "boards/sec" "cells/sec"
     "faults/sec" "steals";
-  let rows =
-    List.map
-      (fun jobs ->
-        let ((_, secs, bps, cps, fps, steals, _) as row) = fleet_row ~spec jobs in
-        Printf.printf "%6d %9.3f %12.0f %12.0f %12.0f %8d\n%!" jobs secs bps cps fps steals;
-        row)
-      jobs_list
+  let row jobs (r : Fleet.Campaign.result) secs =
+    let faults =
+      Array.fold_left
+        (fun a -> function Some c -> a + c.Fleet.Campaign.cl_faulted | None -> a)
+        0 r.Fleet.Campaign.fl_cells
+    in
+    let per n = float_of_int n /. secs in
+    let boards = per r.Fleet.Campaign.fl_forked and cells = per r.Fleet.Campaign.fl_ran in
+    Printf.printf "%6d %9.3f %12.0f %12.0f %12.0f %8d\n" jobs secs boards cells (per faults)
+      r.Fleet.Campaign.fl_steals;
+    Obs.Json.(
+      Obj
+        [ ("jobs", Int jobs); ("seconds", fixed 3 secs); ("boards_per_sec", whole boards);
+          ("cells_per_sec", whole cells); ("faults_per_sec", whole (per faults));
+          ("steals", Int r.Fleet.Campaign.fl_steals) ])
   in
-  let reports = List.map (fun (_, _, _, _, _, _, rep) -> rep) rows in
-  let identical = List.for_all (fun rep -> rep = List.hd reports) reports in
-  let _, t1, _, _, _, _, _ = List.nth rows 0 in
-  let _, t2, _, _, _, _, _ = List.nth rows 1 in
-  print_speedup ~host_cores ~t1 ~t2;
-  Printf.printf "merged reports byte-identical across jobs: %b\n" identical;
-  fleet_json ~spec ~host_cores ~rows ~identical;
-  print_endline "\nwrote BENCH_fleet.json"
+  let fields, _ =
+    scaling ~row
+      ~run:(fun jobs ->
+        Verify.Violation.with_enabled true (fun () -> Fleet.Campaign.run ~jobs spec))
+      ~report:(fun r -> r.Fleet.Campaign.fl_report)
+  in
+  write "fleet"
+    (Obs.Json.[ ("cells", Int fleet_cells); ("boards", Int boards); ("plans", Int plans) ] @ fields)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1276,104 +1100,46 @@ let fleet_bench () =
    gates CI cares about: reports byte-identical across jobs settings, and
    zero silent cross-board corruption over the whole lattice. *)
 
-let fabric_row ~spec jobs =
-  let frames0 = Obs.Metrics.host_read "fabric/frames_sent" in
-  let r = ref None in
-  let secs =
-    bus_time (fun () ->
-        Verify.Violation.with_enabled true (fun () ->
-            r := Some (Fabric.Campaign.run ~jobs spec)))
-  in
-  let r = Option.get !r in
-  let frames = Obs.Metrics.host_read "fabric/frames_sent" - frames0 in
-  let silent =
+let fabric_bench () =
+  header "Fabric campaign — 3-board topologies, a power cut at every tick"
+    "not in the paper: cross-board fault containment under the campaign pool";
+  let cuts = env_int "FABRIC_CUTS" ~min:1 ~default:36 in
+  let spec = { Fabric.Campaign.default_spec with Fabric.Campaign.fb_cuts = cuts } in
+  let plans = List.length spec.Fabric.Campaign.fb_plans in
+  Printf.printf "campaign: %d plans x %d cuts, 3 boards per cell (host: %d cores)\n\n" plans cuts
+    host_cores;
+  Printf.printf "%6s %9s %12s %12s %10s %8s %6s\n" "jobs" "seconds" "frames/sec"
+    "boards/sec" "cuts/sec" "silent" "ok";
+  let silent (r : Fabric.Campaign.result) =
     Array.fold_left
       (fun a -> function Some c -> a + c.Fabric.Campaign.fc_silent | None -> a)
       0 r.Fabric.Campaign.fb_cells
   in
-  let per n = float_of_int n /. secs in
-  ( jobs,
-    secs,
-    per frames (* frames/sec *),
-    per (r.Fabric.Campaign.fb_ran * 3) (* boards interleaved/sec *),
-    per r.Fabric.Campaign.fb_ran (* cut points/sec *),
-    silent,
-    r.Fabric.Campaign.fb_ok,
-    r.Fabric.Campaign.fb_report )
-
-let fabric_json ~spec ~host_cores ~rows ~identical =
-  let oc = open_out "BENCH_fabric.json" in
-  let row_json =
-    String.concat ",\n"
-      (List.map
-         (fun (jobs, secs, fps, bps, cps, silent, ok, _) ->
-           Printf.sprintf
-             "    { \"jobs\": %d, \"seconds\": %.3f, \"frames_per_sec\": %.0f, \
-              \"boards_per_sec\": %.0f, \"cut_points_per_sec\": %.0f, \
-              \"silent_corruptions\": %d, \"ok\": %b }"
-             jobs secs fps bps cps silent ok)
-         rows)
+  let row jobs ((r : Fabric.Campaign.result), frames) secs =
+    let per n = float_of_int n /. secs in
+    let ran = r.Fabric.Campaign.fb_ran and ok = r.Fabric.Campaign.fb_ok in
+    let s = silent r in
+    Printf.printf "%6d %9.3f %12.0f %12.0f %10.0f %8d %6b\n" jobs secs (per frames)
+      (per (ran * 3)) (per ran) s ok;
+    Obs.Json.(
+      Obj
+        [ ("jobs", Int jobs); ("seconds", fixed 3 secs); ("frames_per_sec", whole (per frames));
+          ("boards_per_sec", whole (per (ran * 3))); ("cut_points_per_sec", whole (per ran));
+          ("silent_corruptions", Int s); ("ok", Bool ok) ])
   in
-  let t_of j =
-    let _, secs, _, _, _, _, _, _ =
-      List.find (fun (j', _, _, _, _, _, _, _) -> j' = j) rows
-    in
-    secs
+  let fields, first =
+    scaling ~row
+      ~run:(fun jobs ->
+        let frames0 = Obs.Metrics.host_read "fabric/frames_sent" in
+        let r = Verify.Violation.with_enabled true (fun () -> Fabric.Campaign.run ~jobs spec) in
+        (r, Obs.Metrics.host_read "fabric/frames_sent" - frames0))
+      ~report:(fun (r, _) -> r.Fabric.Campaign.fb_report)
   in
-  let silent_total =
-    List.fold_left (fun a (_, _, _, _, _, s, _, _) -> a + s) 0 rows
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"fabric\",\n\
-    \  \"plans\": %d,\n\
-    \  \"cuts_per_plan\": %d,\n\
-    \  \"boards_interleaved\": 3,\n\
-    \  \"host_cores\": %d,\n\
-    \  \"scaling\": [\n%s\n  ],\n\
-    \  \"speedup_1_to_2\": %s,\n\
-    \  \"silent_corruptions\": %d,\n\
-    \  \"reports_identical\": %b\n\
-     }\n"
-    (List.length spec.Fabric.Campaign.fb_plans)
-    spec.Fabric.Campaign.fb_cuts host_cores row_json
-    (speedup_json ~host_cores ~t1:(t_of 1) ~t2:(t_of 2))
-    silent_total identical;
-  close_out oc
-
-let fabric_bench () =
-  header "Fabric campaign — 3-board topologies, a power cut at every tick"
-    "not in the paper: cross-board fault containment under the campaign pool";
-  let cuts =
-    match Sys.getenv_opt "FABRIC_CUTS" with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 36)
-    | None -> 36
-  in
-  let spec = { Fabric.Campaign.default_spec with Fabric.Campaign.fb_cuts = cuts } in
-  let host_cores = Stdlib.Domain.recommended_domain_count () in
-  let jobs_list = [ 1; 2 ] @ if host_cores > 2 then [ host_cores ] else [] in
-  Printf.printf "campaign: %d plans x %d cuts, 3 boards per cell (host: %d cores)\n\n"
-    (List.length spec.Fabric.Campaign.fb_plans)
-    cuts host_cores;
-  Printf.printf "%6s %9s %12s %12s %10s %8s %6s\n" "jobs" "seconds" "frames/sec"
-    "boards/sec" "cuts/sec" "silent" "ok";
-  let rows =
-    List.map
-      (fun jobs ->
-        let ((_, secs, fps, bps, cps, silent, ok, _) as row) = fabric_row ~spec jobs in
-        Printf.printf "%6d %9.3f %12.0f %12.0f %10.0f %8d %6b\n%!" jobs secs fps bps cps
-          silent ok;
-        row)
-      jobs_list
-  in
-  let reports = List.map (fun (_, _, _, _, _, _, _, rep) -> rep) rows in
-  let identical = List.for_all (fun rep -> rep = List.hd reports) reports in
-  let _, t1, _, _, _, _, _, _ = List.nth rows 0 in
-  let _, t2, _, _, _, _, _, _ = List.nth rows 1 in
-  print_speedup ~host_cores ~t1 ~t2;
-  Printf.printf "reports byte-identical across jobs: %b\n" identical;
-  fabric_json ~spec ~host_cores ~rows ~identical;
-  print_endline "\nwrote BENCH_fabric.json"
+  let silent_total = List.fold_left (fun a (r, _) -> a + silent r) 0 first in
+  write "fabric"
+    (Obs.Json.[ ("plans", Int plans); ("cuts_per_plan", Int cuts); ("boards_interleaved", Int 3) ]
+    @ fields
+    @ [ ("silent_corruptions", Obs.Json.Int silent_total) ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -1381,117 +1147,64 @@ let fabric_bench () =
    coverage buckets lit against cumulative execs, and the execs each mode
    needs to reach the guided run's final bucket count. The comparison is
    model-deterministic (same spec -> same curve on any host), so the CI
-   gate on it applies on 1-core runners too. FUZZCOV_GENS / FUZZCOV_POP
-   override the campaign size. *)
-
-let fuzzcov_row ~spec guided =
-  let spec = { spec with Fuzzcov.Engine.fc_guided = guided } in
-  let r = ref None in
-  let secs = bus_time (fun () -> r := Some (Fuzzcov.Engine.run spec)) in
-  (Option.get !r, secs)
-
-let fuzzcov_execs_to ~target (r : Fuzzcov.Engine.result) =
-  List.find_map
-    (fun (execs, _, bits) -> if bits >= target then Some execs else None)
-    r.Fuzzcov.Engine.fz_curve
-
-let fuzzcov_json ~spec ~host_cores ~guided ~gsecs ~blind ~bsecs ~target =
-  let oc = open_out "BENCH_fuzzcov.json" in
-  let mode_json (r : Fuzzcov.Engine.result) secs =
-    let curve =
-      String.concat ",\n"
-        (List.map
-           (fun (execs, edges, bits) ->
-             Printf.sprintf "      { \"execs\": %d, \"edges\": %d, \"bits\": %d }" execs edges
-               bits)
-           r.Fuzzcov.Engine.fz_curve)
-    in
-    Printf.sprintf
-      "{\n\
-      \    \"execs\": %d,\n\
-      \    \"edges\": %d,\n\
-      \    \"blocks\": %d,\n\
-      \    \"bits\": %d,\n\
-      \    \"corpus\": %d,\n\
-      \    \"crashers\": %d,\n\
-      \    \"seconds\": %.3f,\n\
-      \    \"execs_per_sec\": %.0f,\n\
-      \    \"execs_to_target\": %s,\n\
-      \    \"curve\": [\n%s\n    ]\n\
-      \  }"
-      r.Fuzzcov.Engine.fz_execs r.Fuzzcov.Engine.fz_edges r.Fuzzcov.Engine.fz_blocks
-      r.Fuzzcov.Engine.fz_bits
-      (List.length r.Fuzzcov.Engine.fz_corpus)
-      (List.length r.Fuzzcov.Engine.fz_crashers)
-      secs
-      (float_of_int r.Fuzzcov.Engine.fz_execs /. secs)
-      (match fuzzcov_execs_to ~target r with Some e -> string_of_int e | None -> "null")
-      curve
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"fuzzcov\",\n\
-    \  \"board\": \"%s\",\n\
-    \  \"pop\": %d,\n\
-    \  \"gens\": %d,\n\
-    \  \"host_cores\": %d,\n\
-    \  \"target_bits\": %d,\n\
-    \  \"guided_wins\": %b,\n\
-    \  \"guided\": %s,\n\
-    \  \"blind\": %s\n\
-     }\n"
-    spec.Fuzzcov.Engine.fc_board spec.Fuzzcov.Engine.fc_pop spec.Fuzzcov.Engine.fc_gens
-    host_cores target
-    (match (fuzzcov_execs_to ~target guided, fuzzcov_execs_to ~target blind) with
-    | Some g, Some b -> g < b
-    | Some _, None -> true
-    | None, _ -> false)
-    (mode_json guided gsecs) (mode_json blind bsecs);
-  close_out oc
+   gate on it applies on 1-core runners too. The campaign is
+   [Fuzzcov.Engine.default_spec]: 24 generations of 16 candidates. *)
 
 let fuzzcov_bench () =
   header "Coverage-guided fuzzing — guided vs blind at the same exec budget"
     "not in the paper: buckets-found-vs-execs of the evolutionary loop over the icache map";
-  let env name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> default)
-    | None -> default
-  in
-  let spec =
-    {
-      Fuzzcov.Engine.default_spec with
-      Fuzzcov.Engine.fc_gens = env "FUZZCOV_GENS" 24;
-      fc_pop = env "FUZZCOV_POP" 16;
-    }
-  in
-  let host_cores = Stdlib.Domain.recommended_domain_count () in
+  let spec = Fuzzcov.Engine.default_spec in
   Printf.printf "campaign: %s, %d gens x %d candidates (host: %d cores)\n\n"
     spec.Fuzzcov.Engine.fc_board spec.Fuzzcov.Engine.fc_gens spec.Fuzzcov.Engine.fc_pop
     host_cores;
-  let guided, gsecs = fuzzcov_row ~spec true in
-  let blind, bsecs = fuzzcov_row ~spec false in
+  let run guided =
+    timed (fun () -> Fuzzcov.Engine.run { spec with Fuzzcov.Engine.fc_guided = guided })
+  in
+  let guided, gsecs = run true in
+  let blind, bsecs = run false in
   let target = guided.Fuzzcov.Engine.fz_bits in
+  let execs_to (r : Fuzzcov.Engine.result) =
+    List.find_map
+      (fun (execs, _, bits) -> if bits >= target then Some execs else None)
+      r.Fuzzcov.Engine.fz_curve
+  in
   Printf.printf "%8s %8s %7s %7s %6s %8s %10s %10s\n" "mode" "execs" "edges" "blocks" "bits"
     "corpus" "secs" "execs/sec";
-  List.iter
-    (fun (name, (r : Fuzzcov.Engine.result), secs) ->
-      Printf.printf "%8s %8d %7d %7d %6d %8d %10.3f %10.0f\n" name r.Fuzzcov.Engine.fz_execs
-        r.Fuzzcov.Engine.fz_edges r.Fuzzcov.Engine.fz_blocks r.Fuzzcov.Engine.fz_bits
-        (List.length r.Fuzzcov.Engine.fz_corpus)
-        secs
-        (float_of_int r.Fuzzcov.Engine.fz_execs /. secs))
-    [ ("guided", guided, gsecs); ("blind", blind, bsecs) ];
-  let show r =
-    match fuzzcov_execs_to ~target r with
-    | Some e -> string_of_int e ^ " execs"
-    | None -> "never"
+  let mode name (r : Fuzzcov.Engine.result) secs =
+    let rate = float_of_int r.Fuzzcov.Engine.fz_execs /. secs in
+    let corpus = List.length r.Fuzzcov.Engine.fz_corpus in
+    Printf.printf "%8s %8d %7d %7d %6d %8d %10.3f %10.0f\n" name r.Fuzzcov.Engine.fz_execs
+      r.Fuzzcov.Engine.fz_edges r.Fuzzcov.Engine.fz_blocks r.Fuzzcov.Engine.fz_bits corpus secs
+      rate;
+    let point (execs, edges, bits) =
+      Obs.Json.(Obj [ ("execs", Int execs); ("edges", Int edges); ("bits", Int bits) ])
+    in
+    Obs.Json.(
+      Obj
+        [ ("execs", Int r.Fuzzcov.Engine.fz_execs); ("edges", Int r.Fuzzcov.Engine.fz_edges);
+          ("blocks", Int r.Fuzzcov.Engine.fz_blocks); ("bits", Int r.Fuzzcov.Engine.fz_bits);
+          ("corpus", Int corpus); ("crashers", Int (List.length r.Fuzzcov.Engine.fz_crashers));
+          ("seconds", fixed 3 secs); ("execs_per_sec", whole rate);
+          ("execs_to_target", Option.fold ~none:Null ~some:(fun e -> Int e) (execs_to r));
+          ("curve", Arr (List.map point r.Fuzzcov.Engine.fz_curve)) ])
   in
+  let guided_mode = mode "guided" guided gsecs in
+  let blind_mode = mode "blind" blind bsecs in
+  let show r = Option.fold ~none:"never" ~some:(Printf.sprintf "%d execs") (execs_to r) in
   Printf.printf "\nexecs to reach the guided run's %d buckets: guided %s, blind %s\n" target
     (show guided) (show blind);
-  fuzzcov_json ~spec ~host_cores ~guided ~gsecs ~blind ~bsecs ~target;
-  print_endline "\nwrote BENCH_fuzzcov.json"
-
-(* ------------------------------------------------------------------ *)
+  let guided_wins =
+    match (execs_to guided, execs_to blind) with
+    | Some g, Some b -> g < b
+    | Some _, None -> true
+    | None, _ -> false
+  in
+  write "fuzzcov"
+    Obs.Json.
+      [ ("board", Str spec.Fuzzcov.Engine.fc_board); ("pop", Int spec.Fuzzcov.Engine.fc_pop);
+        ("gens", Int spec.Fuzzcov.Engine.fc_gens); ("host_cores", Int host_cores);
+        ("target_bits", Int target); ("guided_wins", Bool guided_wins); ("guided", guided_mode);
+        ("blind", blind_mode) ]
 
 (* --------------------------------------------------------------------- *)
 (* Time-travel replay: record overhead vs a plain run, and backward-step  *)
@@ -1508,8 +1221,8 @@ let replay_bench () =
   let sched = Replay.Schedule.fleet_cell ~seed:1 ~fuzzers:16 ~steps:20000 in
   Verify.Violation.with_enabled true (fun () ->
       (* the plain run: same cell, nothing recorded *)
-      let t_plain =
-        bus_time (fun () ->
+      let (), t_plain =
+        timed (fun () ->
             Cycles.set Cycles.global 0;
             let k = Capsules.Std_board.make ~what:"Bench" board in
             Replay.Schedule.apply k sched;
@@ -1523,15 +1236,15 @@ let replay_bench () =
             in
             go ())
       in
-      let bundle = ref None in
-      let t_record =
-        bus_time (fun () ->
+      let b, t_record =
+        timed (fun () ->
             let lv = Replay.Record.board_live ~what:"Bench" ~board ~horizon:max_int sched in
-            bundle := Some (Replay.Record.record ~interval:8 lv))
+            Replay.Record.record ~interval:8 lv)
       in
-      let b = Option.get !bundle in
       let horizon = b.Replay.Bundle.bu_header.Replay.Bundle.hd_horizon in
       let reproduced = Replay.Record.reproduces b in
+      Printf.printf "cell: %d ticks  plain %.1f ms  record %.1f ms  (x%.2f)\n" horizon
+        (t_plain *. 1e3) (t_record *. 1e3) (t_record /. t_plain);
       (* backward-step latency per interval: goto the horizon, then step
          backward one tick at a time over the middle of the recording *)
       let back_steps = 20 in
@@ -1540,13 +1253,15 @@ let replay_bench () =
           (fun interval ->
             let nav = Replay.Record.navigator ~interval b in
             Replay.Navigator.goto nav horizon;
-            let t =
-              bus_time (fun () ->
+            let (), t =
+              timed (fun () ->
                   for _ = 1 to back_steps do
                     Replay.Navigator.back nav 1
                   done)
             in
-            (interval, t /. float_of_int back_steps))
+            let us = 1e6 *. t /. float_of_int back_steps in
+            Printf.printf "  interval %3d: back-step %7.1f us\n" interval us;
+            Obs.Json.(Obj [ ("interval", Int interval); ("back_step_us", fixed 2 us) ]))
           [ 4; 16; 64 ]
       in
       (* identity: horizon, back 10 == fresh forward to horizon - 10 *)
@@ -1558,36 +1273,13 @@ let replay_bench () =
       let back_identical =
         Replay.Navigator.fingerprint nav = Replay.Navigator.fingerprint nav2
       in
-      Printf.printf "cell: %d ticks  plain %.1f ms  record %.1f ms  (x%.2f)\n" horizon
-        (t_plain *. 1e3) (t_record *. 1e3) (t_record /. t_plain);
-      List.iter
-        (fun (k, s) -> Printf.printf "  interval %3d: back-step %7.1f us\n" k (s *. 1e6))
-        sweep;
       Printf.printf "reproduced %b  back-identical %b\n" reproduced back_identical;
-      let oc = open_out "BENCH_replay.json" in
-      Printf.fprintf oc
-        "{\n\
-        \  \"experiment\": \"replay\",\n\
-        \  \"board\": %S,\n\
-        \  \"ticks\": %d,\n\
-        \  \"plain_ms\": %.3f,\n\
-        \  \"record_ms\": %.3f,\n\
-        \  \"record_overhead\": %.3f,\n\
-        \  \"reproduced\": %b,\n\
-        \  \"back_identical\": %b,\n\
-        \  \"back_step_sweep\": [\n%s\n  ]\n\
-         }\n"
-        board horizon (t_plain *. 1e3) (t_record *. 1e3)
-        (t_record /. t_plain)
-        reproduced back_identical
-        (String.concat ",\n"
-           (List.map
-              (fun (k, s) ->
-                Printf.sprintf "    { \"interval\": %d, \"back_step_us\": %.2f }" k
-                  (s *. 1e6))
-              sweep));
-      close_out oc;
-      print_endline "wrote BENCH_replay.json")
+      write "replay"
+        Obs.Json.
+          [ ("board", Str board); ("ticks", Int horizon); ("plain_ms", fixed 3 (t_plain *. 1e3));
+            ("record_ms", fixed 3 (t_record *. 1e3));
+            ("record_overhead", fixed 3 (t_record /. t_plain)); ("reproduced", Bool reproduced);
+            ("back_identical", Bool back_identical); ("back_step_sweep", Arr sweep) ])
 
 let experiments =
   [

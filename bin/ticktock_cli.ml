@@ -5,8 +5,7 @@
      ticktock difftest              compare Tock vs TickTock outputs (§6.1)
      ticktock attack [-k BOARD]     replay the §2.2/§3.4 exploits
      ticktock verify [-s SCALE]     check the proof components (§4)
-     ticktock stats                 unified metrics after a suite run
-     ticktock metrics [--json]      same snapshot, text or JSON
+     ticktock metrics [--json]      unified metrics after a suite run, text or JSON
      ticktock trace [-o FILE]       run the suite, export a Chrome trace
      ticktock chaos [-n N] [-f N]   seeded fault-injection campaign
      ticktock fleet / fabric / fuzzcov   resumable campaigns

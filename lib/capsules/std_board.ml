@@ -30,11 +30,12 @@ let builders : (string * (capsules:Capsule_intf.t list -> unit -> Instance.t)) l
 
 let board_names = List.map fst builders
 
-(** [make ?what ?extra name] boots the named board with the standard capsule
-    set (plus [extra] capsules, prepended — the fabric's radio endpoint),
-    splices the capsule devices into the snapshot target and wires the RNG
-    reseed hook. [what] names the caller in error messages. *)
-let make ?(what = "Std_board") ?(extra = []) name =
+(** [assemble ?what ?extra name] boots the named board with the standard
+    capsule set (plus [extra] capsules, prepended — the fabric's radio
+    endpoint), splices the capsule devices into the snapshot target and
+    wires the RNG reseed hook. It returns the board and the devices, for a
+    caller that pokes them. [what] names the caller in error messages. *)
+let assemble ?(what = "Std_board") ?(extra = []) name =
   let mk =
     match List.assoc_opt name builders with
     | Some mk -> mk
@@ -50,8 +51,12 @@ let make ?(what = "Std_board") ?(extra = []) name =
     | Some tgt -> tgt
     | None -> invalid_arg (Printf.sprintf "%s: board %s has no snapshot target" what name)
   in
-  {
-    k with
-    Instance.snap_target = Some (Snapshot.add_components tgt (Board_set.components devs));
-    reseed = devs.Board_set.reseed;
-  }
+  ( {
+      k with
+      Instance.snap_target = Some (Snapshot.add_components tgt (Board_set.components devs));
+      reseed = devs.Board_set.reseed;
+    },
+    devs )
+
+(** [make ?what ?extra name] is the board {!assemble} builds. *)
+let make ?what ?extra name = fst (assemble ?what ?extra name)

@@ -16,29 +16,6 @@ let tid_of_lane = function
   | Event.Chaos -> 4
   | Event.Process p -> 10 + p
 
-let escape = Metrics.json_escape
-
-let add_args b args =
-  Buffer.add_string b "\"args\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\": \"%s\"" (escape k) (escape v)))
-    args;
-  Buffer.add_char b '}'
-
-let add_meta b ~name ~tid ~value =
-  Buffer.add_string b
-    (Printf.sprintf "    {\"name\": \"%s\", \"ph\": \"M\", \"pid\": %d, \"tid\": %d, " name board_pid tid);
-  add_args b [ ("name", value) ];
-  Buffer.add_string b "},\n"
-
-let add_sort_index b ~tid ~index =
-  Buffer.add_string b
-    (Printf.sprintf
-       "    {\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": %d, \"tid\": %d, \"args\": {\"sort_index\": %d}},\n"
-       board_pid tid index)
-
 (* [name] labels the board (Chrome process_name); [window] keeps only the
    events whose tick falls in the inclusive [(lo, hi)] range — the replay
    navigator's arbitrary-window export. *)
@@ -58,33 +35,40 @@ let to_json ?(name = "ticktock") ?window recorder =
         match Event.lane e.event with Event.Process p -> IS.add p acc | _ -> acc)
       IS.empty entries
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n";
-  add_meta b ~name:"process_name" ~tid:0 ~value:name;
-  add_meta b ~name:"thread_name" ~tid:(tid_of_lane Event.Kernel) ~value:"kernel";
-  add_meta b ~name:"thread_name" ~tid:(tid_of_lane Event.Mpu) ~value:"mpu";
-  add_meta b ~name:"thread_name" ~tid:(tid_of_lane Event.Bus) ~value:"bus/icache";
-  add_meta b ~name:"thread_name" ~tid:(tid_of_lane Event.Contracts) ~value:"contracts";
-  add_meta b ~name:"thread_name" ~tid:(tid_of_lane Event.Chaos) ~value:"chaos";
-  IS.iter
-    (fun p ->
-      add_meta b ~name:"thread_name" ~tid:(tid_of_lane (Event.Process p)) ~value:(Printf.sprintf "pid %d" p))
-    pids;
-  List.iter (fun lane -> add_sort_index b ~tid:(tid_of_lane lane) ~index:(tid_of_lane lane))
-    [ Event.Kernel; Event.Mpu; Event.Bus; Event.Contracts; Event.Chaos ];
-  IS.iter (fun p -> add_sort_index b ~tid:(10 + p) ~index:(10 + p)) pids;
-  List.iteri
-    (fun i (e : Recorder.entry) ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let ev = e.event in
-      Buffer.add_string b
-        (Printf.sprintf "    {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"i\", \"s\": \"t\", \"ts\": %d, \"pid\": %d, \"tid\": %d, "
-           (escape (Event.name ev))
-           (Event.lane_name (Event.lane ev))
-           e.at board_pid
-           (tid_of_lane (Event.lane ev)));
-      add_args b (Event.args ev);
-      Buffer.add_char b '}')
-    entries;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let lanes =
+    Event.[ Kernel; Mpu; Bus; Contracts; Chaos ]
+    @ List.map (fun p -> Event.Process p) (IS.elements pids)
+  in
+  let open Json in
+  let args kvs = Obj (List.map (fun (k, v) -> (k, Str v)) kvs) in
+  let meta name tid a =
+    Obj
+      [ ("name", Str name); ("ph", Str "M"); ("pid", Int board_pid); ("tid", Int tid); ("args", a) ]
+  in
+  let thread_name lane =
+    let label = match lane with Event.Bus -> "bus/icache" | l -> Event.lane_name l in
+    meta "thread_name" (tid_of_lane lane) (args [ ("name", label) ])
+  in
+  let sort_index lane =
+    let tid = tid_of_lane lane in
+    meta "thread_sort_index" tid (Obj [ ("sort_index", Int tid) ])
+  in
+  let event (e : Recorder.entry) =
+    let lane = Event.lane e.event in
+    Obj
+      [
+        ("name", Str (Event.name e.event));
+        ("cat", Str (Event.lane_name lane));
+        ("ph", Str "i");
+        ("s", Str "t");
+        ("ts", Int e.at);
+        ("pid", Int board_pid);
+        ("tid", Int (tid_of_lane lane));
+        ("args", args (Event.args e.event));
+      ]
+  in
+  let events =
+    (meta "process_name" 0 (args [ ("name", name) ]) :: List.map thread_name lanes)
+    @ List.map sort_index lanes @ List.map event entries
+  in
+  to_string (Obj [ ("displayTimeUnit", Str "ms"); ("traceEvents", Arr events) ])

@@ -219,43 +219,18 @@ let pp ppf s =
 let to_text s = Format.asprintf "%a" pp s
 
 (* Stable JSON dump: one object per entry, sorted by name, ints only. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | ch when Char.code ch < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
-
 let to_json s =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"metrics\": [";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n    {";
-      Buffer.add_string b (Printf.sprintf "\"name\": \"%s\", \"host\": %b, " (json_escape e.name) e.host);
-      (match e.value with
-      | Counter v -> Buffer.add_string b (Printf.sprintf "\"type\": \"counter\", \"value\": %d" v)
-      | Gauge v -> Buffer.add_string b (Printf.sprintf "\"type\": \"gauge\", \"value\": %d" v)
+  let open Json in
+  let entry e =
+    let fields =
+      match e.value with
+      | Counter v -> [ ("type", Str "counter"); ("value", Int v) ]
+      | Gauge v -> [ ("type", Str "gauge"); ("value", Int v) ]
       | Histogram { count; sum; vmin; vmax; buckets } ->
-          Buffer.add_string b
-            (Printf.sprintf "\"type\": \"histogram\", \"count\": %d, \"sum\": %d, \"min\": %d, \"max\": %d, \"buckets\": [" count sum vmin
-               vmax);
-          List.iteri
-            (fun j (le, n) ->
-              if j > 0 then Buffer.add_string b ", ";
-              Buffer.add_string b (Printf.sprintf "{\"le\": %d, \"count\": %d}" le n))
-            buckets;
-          Buffer.add_char b ']');
-      Buffer.add_char b '}')
-    (sorted s);
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+        let bucket (le, n) = Obj [ ("le", Int le); ("count", Int n) ] in
+        [ ("type", Str "histogram"); ("count", Int count); ("sum", Int sum); ("min", Int vmin);
+          ("max", Int vmax); ("buckets", Arr (List.map bucket buckets)) ]
+    in
+    Obj (("name", Str e.name) :: ("host", Bool e.host) :: fields)
+  in
+  to_string (Obj [ ("metrics", Arr (List.map entry (sorted s))) ])

@@ -468,15 +468,19 @@ let parse_json (s : string) : json =
         (match peek () with
         | Some 'u' ->
           advance ();
+          let code = ref 0 in
           for _ = 1 to 4 do
             match peek () with
-            | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
+            | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F' as h) ->
+              code := (!code * 16) + int_of_string ("0x" ^ String.make 1 h);
+              advance ()
             | _ -> fail "bad unicode escape"
           done;
-          Buffer.add_char b '?'
+          Buffer.add_utf_8_uchar b (Uchar.of_int !code)
         | Some c ->
           advance ();
-          Buffer.add_char b c
+          Buffer.add_char b
+            (match c with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | 'b' -> '\b' | 'f' -> '\012' | c -> c)
         | None -> fail "unterminated escape");
         go ()
       | Some c ->
@@ -630,6 +634,130 @@ let test_metrics_json_wellformed () =
       entries
   | _ -> Alcotest.fail "metrics dump must be {metrics: [...]}"
 
+(* --- the one JSON printer --- *)
+
+(* Both exports' exact bytes, recorded from the hand-written printers
+   that [Obs.Json] replaced. *)
+let test_chrome_pinned () =
+  let r = Obs.Recorder.create ~capacity:8 () in
+  Obs.Recorder.record r ~tick:3 (Obs.Event.Proc_created { pid = 0; name = "app \"one\"" });
+  Obs.Recorder.record r ~tick:5
+    (Obs.Event.Mpu_region_write { arch = "armv7m"; index = 2; generation = 9 });
+  check_string "chrome bytes"
+    {|{
+  "displayTimeUnit": "ms",
+  "traceEvents": [
+    {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "pin"}},
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "kernel"}},
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 1, "args": {"name": "mpu"}},
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 2, "args": {"name": "bus/icache"}},
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 3, "args": {"name": "contracts"}},
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 4, "args": {"name": "chaos"}},
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 10, "args": {"name": "pid 0"}},
+    {"name": "thread_sort_index", "ph": "M", "pid": 1, "tid": 0, "args": {"sort_index": 0}},
+    {"name": "thread_sort_index", "ph": "M", "pid": 1, "tid": 1, "args": {"sort_index": 1}},
+    {"name": "thread_sort_index", "ph": "M", "pid": 1, "tid": 2, "args": {"sort_index": 2}},
+    {"name": "thread_sort_index", "ph": "M", "pid": 1, "tid": 3, "args": {"sort_index": 3}},
+    {"name": "thread_sort_index", "ph": "M", "pid": 1, "tid": 4, "args": {"sort_index": 4}},
+    {"name": "thread_sort_index", "ph": "M", "pid": 1, "tid": 10, "args": {"sort_index": 10}},
+    {"name": "proc_created", "cat": "pid 0", "ph": "i", "s": "t", "ts": 3, "pid": 1, "tid": 10, "args": {"pid": "0", "name": "app \"one\""}},
+    {"name": "armv7m region[2] write", "cat": "mpu", "ph": "i", "s": "t", "ts": 5, "pid": 1, "tid": 1, "args": {"arch": "armv7m", "index": "2", "generation": "9"}}
+  ]
+}
+|}
+    (Obs.Chrome.to_json ~name:"pin" r)
+
+let test_metrics_pinned () =
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.incr ~by:4 m "kernel/syscalls";
+  Obs.Metrics.set_gauge m "procs/live" 3;
+  List.iter (Obs.Metrics.observe (Obs.Metrics.hist m "lat/brk")) [ 0; 3; 100 ];
+  check_string "metrics bytes"
+    {|{
+  "metrics": [
+    {"name": "kernel/syscalls", "host": false, "type": "counter", "value": 4},
+    {"name": "lat/brk", "host": false, "type": "histogram", "count": 3, "sum": 103, "min": 0, "max": 100, "buckets": [{"le": 0, "count": 1}, {"le": 3, "count": 1}, {"le": 127, "count": 1}]},
+    {"name": "procs/live", "host": false, "type": "gauge", "value": 3}
+  ]
+}
+|}
+    (Obs.Metrics.to_json (Obs.Metrics.snapshot m))
+
+let test_json_escapes () =
+  check_string "quote, backslash, \\n, \\t, \\r and \\001 escaped; others kept"
+    {|"q\" b\\ n\n t\t r\r c\u0001 /é"
+|}
+    (Obs.Json.to_string (Obs.Json.Str "q\" b\\ n\n t\t r\r c\001 /\xc3\xa9"))
+
+let test_json_non_finite () =
+  List.iter
+    (fun f ->
+      check_string (Printf.sprintf "%h prints as null" f) "null\n"
+        (Obs.Json.to_string (Obs.Json.Float f)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* The fewest of 15, 16 or 17 digits that read back, and a point kept. *)
+let test_json_float_text () =
+  List.iter
+    (fun (f, text) ->
+      check_string (Printf.sprintf "%h" f) (text ^ "\n") (Obs.Json.to_string (Obs.Json.Float f)))
+    [
+      (0.1, "0.1");
+      (8.0, "8.0");
+      (-0.0, "-0.0");
+      (1e21, "1e+21");
+      (1. /. 3., "0.3333333333333333");
+      (0.1 +. 0.2, "0.30000000000000004");
+    ]
+
+(* Any value with finite floats prints to text the independent parser
+   above reads back to the same value, floats bit for bit. *)
+let gen_json =
+  let open QCheck.Gen in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+  let leaf =
+    oneof
+      [
+        return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun i -> Obs.Json.Int i) int;
+        map (fun f -> Obs.Json.Float f) finite;
+        map (fun s -> Obs.Json.Str s) (string_size ~gen:char (0 -- 12));
+      ]
+  in
+  sized_size (0 -- 4)
+    (fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (2, map (fun l -> Obs.Json.Arr l) (list_size (0 -- 4) (self (n - 1))));
+               ( 2,
+                 map
+                   (fun l -> Obs.Json.Obj l)
+                   (list_size (0 -- 4) (pair (string_size ~gen:char (0 -- 6)) (self (n - 1)))) );
+             ]))
+
+let rec json_agrees (v : Obs.Json.t) (j : json) =
+  let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  match (v, j) with
+  | Null, J_null -> true
+  | Bool a, J_bool b -> a = b
+  | Int a, J_num b -> same_float (float_of_int a) b
+  | Float a, J_num b -> same_float a b
+  | Str a, J_str b -> a = b
+  | Arr a, J_arr b -> List.length a = List.length b && List.for_all2 json_agrees a b
+  | Obj a, J_obj b ->
+    List.length a = List.length b
+    && List.for_all2 (fun (ka, va) (kb, vb) -> ka = kb && json_agrees va vb) a b
+  | _ -> false
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json prints to text the parser reads back" ~count:500
+    (QCheck.make ~print:Obs.Json.to_string gen_json)
+    (fun v -> json_agrees v (parse_json (Obs.Json.to_string v)))
+
 (* Fleet campaign throughput counters are process-global host counters:
    once bumped, they surface (host-flagged) in every instance's unified
    snapshot, and stay invisible to the determinism view. *)
@@ -672,6 +800,12 @@ let suite =
       test_metrics_fleet_counters;
     Alcotest.test_case "chrome export is well-formed JSON" `Quick test_chrome_wellformed;
     Alcotest.test_case "metrics JSON is well-formed" `Quick test_metrics_json_wellformed;
+    Alcotest.test_case "chrome export bytes pinned" `Quick test_chrome_pinned;
+    Alcotest.test_case "metrics JSON bytes pinned" `Quick test_metrics_pinned;
+    Alcotest.test_case "json string escapes" `Quick test_json_escapes;
+    Alcotest.test_case "json non-finite floats are null" `Quick test_json_non_finite;
+    Alcotest.test_case "json float text" `Quick test_json_float_text;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
   ]
 
 (* The kernel's event trace, recorded through [~obs]. *)

@@ -271,23 +271,37 @@ let test_bundle_truncated () =
         (Test_snapshot.truncations ~magic:Replay.Bundle.magic whole))
 
 (* Recorded sessions carry the obs ring: violation sites are inspectable
-   and any tick window exports as a Chrome trace without re-execution. *)
+   and any tick window exports as a Chrome trace without re-execution. A
+   window past the horizon holds no events and still exports valid JSON
+   carrying only the lane metadata. *)
 let test_events_and_trace () =
   with_contracts (fun () ->
       let b = record_cell "ticktock-arm" in
       check_bool "events recorded" true (List.length b.Replay.Bundle.bu_events > 0);
       let nav = Replay.Record.navigator b in
-      Replay.Navigator.goto nav b.Replay.Bundle.bu_header.Replay.Bundle.hd_horizon;
-      match Replay.Navigator.trace nav ~window:(0, 5) with
-      | None -> Alcotest.fail "recorded session has no trace"
-      | Some json ->
-        let contains hay needle =
-          let n = String.length needle and h = String.length hay in
-          let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-          go 0
-        in
-        check_bool "trace is a chrome trace" true
-          (String.length json > 0 && String.sub json 0 1 = "{" && contains json "traceEvents"))
+      let horizon = b.Replay.Bundle.bu_header.Replay.Bundle.hd_horizon in
+      Replay.Navigator.goto nav horizon;
+      let instants window =
+        match Replay.Navigator.trace nav ~window with
+        | None -> Alcotest.fail "recorded session has no trace"
+        | Some json -> (
+          match Test_obs.parse_json json with
+          | Test_obs.J_obj fields -> (
+            match List.assoc_opt "traceEvents" fields with
+            | Some (Test_obs.J_arr events) ->
+              List.length
+                (List.filter
+                   (function
+                     | Test_obs.J_obj o -> List.assoc_opt "ph" o = Some (Test_obs.J_str "i")
+                     | _ -> false)
+                   events)
+            | _ -> Alcotest.fail "traceEvents must be an array")
+          | _ -> Alcotest.fail "a trace must be a JSON object"
+          | exception Test_obs.Bad_json msg -> Alcotest.failf "trace is not JSON: %s" msg)
+      in
+      check_bool "window (0, 5) holds events" true (instants (0, 5) > 0);
+      check_int "a window past the horizon holds none" 0
+        (instants (horizon + 100_000, horizon + 100_001)))
 
 (* --- campaign emitters --- *)
 

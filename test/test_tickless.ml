@@ -22,21 +22,14 @@ type scenario = {
   sc_phases : phase list;
 }
 
-(* The board [Capsules.Std_board.make] assembles, with its devices kept and
-   an Obs recorder attached through the ambient mode. *)
+(* The standard board and its devices, with an Obs recorder attached
+   through the ambient mode. *)
 let board ~extra name =
-  let mk = List.assoc name Capsules.Std_board.builders in
-  let caps, devs = Capsules.Board_set.standard ~rng_seed:0x5EED () in
   let prev = Obs.Config.auto_mode () in
   Obs.Config.set_auto Obs.Config.On;
-  let k =
-    Fun.protect
-      ~finally:(fun () -> Obs.Config.set_auto prev)
-      (fun () -> mk ~capsules:(extra @ caps) ())
-  in
-  let tgt = Option.get k.Instance.snap_target in
-  let tgt = Snapshot.add_components tgt (Capsules.Board_set.components devs) in
-  ({ k with Instance.snap_target = Some tgt }, devs)
+  Fun.protect
+    ~finally:(fun () -> Obs.Config.set_auto prev)
+    (fun () -> Capsules.Std_board.assemble ~what:"Test" ~extra name)
 
 let load (k : Instance.t) ~name script =
   match
